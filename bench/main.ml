@@ -4,7 +4,6 @@
      dune exec bench/main.exe -- table1            # Table 1: program statistics
      dune exec bench/main.exe -- table2            # Table 2: FSAM vs NonSparse
      dune exec bench/main.exe -- figure12          # Figure 12: phase ablations
-     dune exec bench/main.exe -- sched             # FIFO vs priority worklist
      dune exec bench/main.exe -- par               # serial vs multi-domain clients
      dune exec bench/main.exe -- vf                # indexed MHP/lock query layer
      dune exec bench/main.exe -- prov              # provenance off/on guard
@@ -249,7 +248,7 @@ let figure12 () =
        ])
 
 (* ------------------------------------------------------------------------- *)
-(* Scheduler comparison — FIFO queue vs SVFG-condensation priority worklist. *)
+(* Result identity between two solver runs (par / prov guards).              *)
 (* ------------------------------------------------------------------------- *)
 
 module S = Fsam_core.Sparse
@@ -274,63 +273,6 @@ let results_identical (a : D.t) (b : D.t) =
       | _ -> ok := false);
   if Hashtbl.length tbl <> !n_b then ok := false;
   !ok
-
-let sched () =
-  Printf.printf
-    "Scheduler comparison: FIFO queue vs priority worklist (SVFG condensation).\n\
-     Propagations = processed work units until fixpoint; results must be\n\
-     byte-identical (the fixpoint is unique).\n";
-  Printf.printf "%-14s | %12s %12s %8s | %10s %10s | %9s\n" "Program" "FIFO props"
-    "prio props" "ratio" "FIFO (s)" "prio (s)" "identical";
-  Printf.printf "%s\n" (String.make 90 '-');
-  let rows = ref [] in
-  List.iter
-    (fun (s : W.spec) ->
-      let run scheduler =
-        let prog = s.build (scale_of s) in
-        let m =
-          Measure'.run (fun () ->
-              D.run ~config:{ D.default_config with scheduler } prog)
-        in
-        let props =
-          Option.value ~default:0 (Fsam_obs.Metrics.find_counter "sparse.propagations")
-        in
-        (m.Measure'.value, m.Measure'.wall_seconds, props)
-      in
-      let d_fifo, t_fifo, p_fifo = run S.Fifo in
-      let d_prio, t_prio, p_prio = run S.Priority in
-      let identical = results_identical d_fifo d_prio in
-      let ratio = float_of_int p_fifo /. float_of_int (max 1 p_prio) in
-      Printf.printf "%-14s | %12d %12d %7.2fx | %10.2f %10.2f | %9s\n" s.name p_fifo
-        p_prio ratio t_fifo t_prio
-        (if identical then "yes" else "NO");
-      rows :=
-        J.Obj
-          [
-            ("program", J.String s.name);
-            ("fifo_propagations", J.Int p_fifo);
-            ("priority_propagations", J.Int p_prio);
-            ("propagation_ratio", J.Float ratio);
-            ("fifo_wall_s", J.Float t_fifo);
-            ("priority_wall_s", J.Float t_prio);
-            ("identical_results", J.Bool identical);
-            ("pts_entries", J.Int (S.pts_entries d_prio.D.sparse));
-          ]
-        :: !rows;
-      if not identical then begin
-        Printf.eprintf "error: schedulers disagree on %s\n" s.name;
-        exit 1
-      end;
-      flush stdout)
-    (workloads ());
-  Printf.printf "\n";
-  write_bench "BENCH_sched.json"
-    (J.Obj
-       [
-         ("schema", J.String "fsam.bench.sched/1");
-         ("quick", J.Bool !quick);
-         ("rows", J.List (List.rev !rows));
-       ])
 
 (* ------------------------------------------------------------------------- *)
 (* Domain-parallel clients — serial vs N-domain post-solve detection.         *)
@@ -775,7 +717,7 @@ let vf () =
    off path's own cost against the pre-recorder baseline is tracked in
    EXPERIMENTS.md. *)
 let prov_bench () =
-  (* default: the smallest sched workload; --only can select any suite
+  (* default: the smallest suite workload; --only can select any suite
      workload or a thread-scaled vf_N workload *)
   let name, build, scale =
     match !only with
@@ -1246,27 +1188,22 @@ let micro () =
                (Fsam_dsa.Iset.add (Random.int 100000) iset_b)));
       Test.make ~name:"iset.inter"
         (Staged.stage (fun () -> Fsam_dsa.Iset.inter iset_a iset_b));
-      Test.make ~name:"heap.push_pop"
-        (* the priority-worklist kernel: 256 pushes + drain *)
+      Test.make ~name:"sparse.solve"
+        (* the pre-phases are served from the hooks, so this times the solve
+           phase (plus the modref/pcg recomputation the driver always does) *)
         (Staged.stage
-           (let h = Fsam_dsa.Heap.create ~capacity:256 () in
-            fun () ->
-              for i = 0 to 255 do
-                Fsam_dsa.Heap.push h ~prio:((i * 7919) mod 256) i
-              done;
-              while not (Fsam_dsa.Heap.is_empty h) do
-                ignore (Fsam_dsa.Heap.pop_item h)
-              done));
-      Test.make ~name:"sparse.solve_fifo"
-        (Staged.stage (fun () ->
-             D.run
-               ~config:{ D.default_config with scheduler = Fsam_core.Sparse.Fifo }
-               small_prog));
-      Test.make ~name:"sparse.solve_priority"
-        (Staged.stage (fun () ->
-             D.run
-               ~config:{ D.default_config with scheduler = Fsam_core.Sparse.Priority }
-               small_prog));
+           (let svfg = Fsam_memssa.Svfg.build small_prog ast mr icfg tm mhp lk pcg in
+            let warm =
+              {
+                D.cold_hooks with
+                D.wh_andersen = (fun _ -> Some ast);
+                wh_thread_model = (fun _ _ -> Some (icfg, tm));
+                wh_mhp = (fun _ -> Some mhp);
+                wh_locks = (fun _ _ _ -> Some lk);
+                wh_svfg = (fun _ _ _ _ _ _ _ _ -> Some svfg);
+              }
+            in
+            fun () -> D.run ~warm small_prog));
       Test.make ~name:"andersen.solve"
         (Staged.stage (fun () -> Fsam_andersen.Solver.run small_prog));
       Test.make ~name:"threads.build"
@@ -1333,7 +1270,6 @@ let () =
       | "table1" -> table1 ()
       | "table2" -> table2 ()
       | "figure12" -> figure12 ()
-      | "sched" -> sched ()
       | "par" -> if !size = "large" then par_large () else par ()
       | "vf" -> vf ()
       | "prov" -> prov_bench ()
@@ -1344,7 +1280,6 @@ let () =
         table1 ();
         table2 ();
         figure12 ();
-        sched ();
         par ();
         vf ();
         prov_bench ();
@@ -1352,7 +1287,7 @@ let () =
         micro ()
       | other ->
         Printf.eprintf
-          "unknown command %S (table1|table2|figure12|sched|par|vf|prov|serve|serveobs|micro|all)\n"
+          "unknown command %S (table1|table2|figure12|par|vf|prov|serve|serveobs|micro|all)\n"
           other;
         exit 1)
     cmds

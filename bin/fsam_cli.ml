@@ -24,11 +24,6 @@ let config_of_string = function
   | "no-lock" -> Ok D.no_lock
   | s -> Error (Printf.sprintf "unknown configuration %S" s)
 
-let scheduler_of_string = function
-  | "priority" -> Ok Fsam_core.Sparse.Priority
-  | "fifo" -> Ok Fsam_core.Sparse.Fifo
-  | s -> Error (Printf.sprintf "unknown scheduler %S (priority, fifo)" s)
-
 (* -- arguments ------------------------------------------------------------- *)
 
 let source_arg =
@@ -116,7 +111,7 @@ let profile_flag =
                  convergence curve in --json. Results are identical; see \
                  $(b,fsam profile) for the report view.")
 
-let analyze source config_name scheduler_name engine dump_pts json trace jobs
+let analyze source config_name engine dump_pts json trace jobs
     nonsparse_budget provenance profile =
   with_program
     (fun prog ->
@@ -169,12 +164,7 @@ let analyze source config_name scheduler_name engine dump_pts json trace jobs
               ~cpu_seconds:m.Fsam_core.Measure.cpu_seconds
               ~live_mb:m.Fsam_core.Measure.live_mb ())
       | "fsam" -> (
-        match
-          Result.bind (config_of_string config_name) (fun config ->
-              Result.map
-                (fun scheduler -> { config with D.scheduler })
-                (scheduler_of_string scheduler_name))
-        with
+        match config_of_string config_name with
         | Error e ->
           Printf.eprintf "error: %s\n" e;
           exit 1
@@ -218,12 +208,6 @@ let analyze_cmd =
     Arg.(value & opt string "fsam" & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Analysis engine: fsam, nonsparse or andersen.")
   in
-  let scheduler =
-    Arg.(value & opt string "priority" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:"Sparse-solver worklist scheduler (fsam engine only): priority \
-                 (SVFG-condensation topological order) or fifo (legacy queue). \
-                 Both reach the same fixpoint.")
-  in
   let dump =
     Arg.(value & flag & info [ "dump-pts" ] ~doc:"Print non-empty points-to sets.")
   in
@@ -236,7 +220,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run a pointer analysis on a program")
     Term.(
-      const analyze $ source_arg $ config_arg $ scheduler $ engine $ dump $ json_arg
+      const analyze $ source_arg $ config_arg $ engine $ dump $ json_arg
       $ trace_arg $ jobs_arg $ nonsparse_budget $ provenance_arg $ profile_flag)
 
 (* -- races ------------------------------------------------------------------- *)
@@ -658,8 +642,8 @@ let print_convergence () =
       (fun i s ->
         if i < 5 || i >= List.length samples - 5 || List.length samples <= 10 then
           Format.printf
-            "    prop %7d  depth %6d  +facts %6d  rank %5d  scc %5d  memo %3d%%@."
-            s.P.s_prop s.P.s_depth s.P.s_facts_delta s.P.s_rank s.P.s_scc_size
+            "    prop %7d  depth %6d  +facts %6d  memo %3d%%@."
+            s.P.s_prop s.P.s_depth s.P.s_facts_delta
             (pct s.P.s_memo_hits (s.P.s_memo_hits + s.P.s_memo_misses))
         else if i = 5 then Format.printf "    ...@.")
       samples;
@@ -668,20 +652,15 @@ let print_convergence () =
       List.iter
         (fun st ->
           Format.printf
-            "  STALL at propagation %d: no new facts for %d samples (rank %d, SCC size %d)@."
-            st.P.st_prop st.P.st_samples st.P.st_rank st.P.st_scc_size)
+            "  STALL at propagation %d: no new facts for %d samples@."
+            st.P.st_prop st.P.st_samples)
         stalls
 
-let profile_run source config_name scheduler_name json trace jobs top =
+let profile_run source config_name json trace jobs top =
   with_program
     (fun prog ->
       arm_crash_flush ~json ~trace;
-      match
-        Result.bind (config_of_string config_name) (fun config ->
-            Result.map
-              (fun scheduler -> { config with D.scheduler })
-              (scheduler_of_string scheduler_name))
-      with
+      match config_of_string config_name with
       | Error e ->
         Printf.eprintf "error: %s\n" e;
         exit 1
@@ -728,10 +707,6 @@ let profile_run source config_name scheduler_name json trace jobs top =
     source
 
 let profile_cmd =
-  let scheduler =
-    Arg.(value & opt string "priority" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:"Sparse-solver worklist scheduler: priority or fifo.")
-  in
   let top =
     Arg.(value & opt int 10
          & info [ "top" ] ~docv:"N" ~doc:"How many spans to show in the hotspot table.")
@@ -761,7 +736,7 @@ let profile_cmd =
               exported for tooling.";
          ])
     Term.(
-      const profile_run $ source_arg $ config_arg $ scheduler $ json $ trace_arg
+      const profile_run $ source_arg $ config_arg $ json $ trace_arg
       $ jobs_arg $ top)
 
 (* -- dot ---------------------------------------------------------------------- *)

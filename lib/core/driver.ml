@@ -9,7 +9,6 @@ type config = {
   svfg : Svfg.config;
   max_ctx_depth : int;
   nonsparse_budget : float;
-  scheduler : Sparse.scheduler;
   jobs : int;
   provenance : bool;
   profile : bool;
@@ -20,7 +19,6 @@ let default_config =
     svfg = Svfg.default_config;
     max_ctx_depth = 24;
     nonsparse_budget = 7200.;
-    scheduler = Sparse.Priority;
     jobs = 1;
     provenance = false;
     profile = false;
@@ -44,12 +42,13 @@ type phase_times = {
 }
 
 (* Per-phase warm-start hooks (the fsam serve engine's incremental edit
-   path). Each hook may produce the phase's result from the previous
-   generation — [None] falls back to the normal cold computation. Hooks run
-   inside the phase spans, so the phase walls reflect whatever path was
-   taken. modref, pcg and the singleton analysis are always recomputed:
-   they are cheap, and recomputing them keeps the reuse guards (which
-   compare old-vs-new summaries) honest. *)
+   path and snapshot restore). Each hook may produce the phase's result
+   from the previous generation — [None] falls back to the normal cold
+   computation; [wh_solve] instead returns the warm start the sparse solve
+   drains from. Hooks run inside the phase spans, so the phase walls
+   reflect whatever path was taken. modref, pcg and the singleton analysis
+   are always recomputed: they are cheap, and recomputing them keeps the
+   reuse guards (which compare old-vs-new summaries) honest. *)
 type warm_hooks = {
   wh_andersen : Prog.t -> A.t option;
   wh_thread_model : Prog.t -> A.t -> (Mta.Icfg.t * Mta.Threads.t) option;
@@ -65,7 +64,18 @@ type warm_hooks = {
     Mta.Locks.t ->
     Mta.Pcg.t ->
     Svfg.t option;
+  wh_solve : Prog.t -> A.t -> Svfg.t -> singleton:(int -> bool) -> Sparse.warm option;
 }
+
+let cold_hooks =
+  {
+    wh_andersen = (fun _ -> None);
+    wh_thread_model = (fun _ _ -> None);
+    wh_mhp = (fun _ -> None);
+    wh_locks = (fun _ _ _ -> None);
+    wh_svfg = (fun _ _ _ _ _ _ _ _ -> None);
+    wh_solve = (fun _ _ _ ~singleton:_ -> None);
+  }
 
 type t = {
   prog : Prog.t;
@@ -77,6 +87,7 @@ type t = {
   locks : Mta.Locks.t;
   pcg : Mta.Pcg.t;
   svfg : Svfg.t;
+  singleton : int -> bool;
   sparse : Sparse.t;
   times : phase_times;
   prov : Fsam_prov.t option;
@@ -85,7 +96,7 @@ type t = {
 (* Each [run] owns the process-global observability buffers: spans and
    metrics are reset at entry, so after [run] returns they describe exactly
    that pipeline execution (exported by [Telemetry]). *)
-let run_with_solve ?(config = default_config) ?warm ~solve prog =
+let run ?(config = default_config) ?warm prog =
   Validate.check_exn prog;
   Obs.Span.reset ();
   Obs.Metrics.reset ();
@@ -139,13 +150,14 @@ let run_with_solve ?(config = default_config) ?warm ~solve prog =
                 Svfg.build ~config:config.svfg ~jobs:config.jobs ?prov prog ast modref icfg tm
                   mhp locks pcg))
       in
-      let sparse, sp_solve =
+      let (singleton, sparse), sp_solve =
         Obs.Span.with_timed ~name:"phase.solve" (fun () ->
             let singleton =
               Obs.Span.with_ ~name:"singletons.compute" (fun () ->
                   Singletons.compute prog ast tm icfg)
             in
-            solve ~prog ~ast ~svfg ~singleton ~prov ~scheduler:config.scheduler)
+            let warm = Option.bind warm (fun h -> h.wh_solve prog ast svfg ~singleton) in
+            (singleton, Sparse.solve ?warm ?prov prog ast svfg ~singleton))
       in
       (match prov with
       | Some r -> Obs.Metrics.(set (gauge "prov.records") (Fsam_prov.n_records r))
@@ -160,6 +172,7 @@ let run_with_solve ?(config = default_config) ?warm ~solve prog =
         locks;
         pcg;
         svfg;
+        singleton;
         sparse;
         times =
           {
@@ -172,12 +185,6 @@ let run_with_solve ?(config = default_config) ?warm ~solve prog =
           };
         prov;
       })
-
-let run ?config prog =
-  run_with_solve ?config
-    ~solve:(fun ~prog ~ast ~svfg ~singleton ~prov ~scheduler ->
-      Sparse.solve ~scheduler ?prov prog ast svfg ~singleton)
-    prog
 
 let run_nonsparse ?(config = default_config) prog =
   Validate.check_exn prog;

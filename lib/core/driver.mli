@@ -8,10 +8,6 @@ type config = {
   svfg : Fsam_memssa.Svfg.config;
   max_ctx_depth : int;
   nonsparse_budget : float;  (** seconds before NonSparse reports OOT *)
-  scheduler : Sparse.scheduler;
-      (** solve-loop iteration order; [Priority] (the default) schedules by
-          SVFG-condensation rank, [Fifo] is the legacy queue — both reach
-          the identical fixpoint *)
   jobs : int;
       (** domain count for the parallelisable passes (MHP sibling seeding
           and the SVFG's [THREAD-VF] pair discovery here; the CLI also
@@ -63,23 +59,25 @@ type t = {
   locks : Fsam_mta.Locks.t;
   pcg : Fsam_mta.Pcg.t;
   svfg : Fsam_memssa.Svfg.t;
+  singleton : int -> bool;
+      (** the strong-update singleton predicate the solve used — an input
+          to the next edit's incremental plan *)
   sparse : Sparse.t;
   times : phase_times;
   prov : Fsam_prov.t option;
       (** the derivation recorder — [Some] iff [config.provenance] *)
 }
 
-val run : ?config:config -> Prog.t -> t
-(** Runs the full FSAM pipeline. The program must be in partial SSA
-    (checked). Resets [Fsam_obs] (spans and metrics) at entry; after it
-    returns, the global span tree and metrics registry describe this run. *)
-
 (** Per-phase warm-start hooks for the serve engine's incremental edit
-    path: each hook may produce its phase's result from the previous
-    generation ([None] = run the phase cold). Hooks execute inside the
-    phase spans, so phase walls reflect the path actually taken. modref,
-    pcg and singleton detection always recompute (cheap; and the reuse
-    guards compare their old-vs-new summaries). *)
+    path and snapshot restore: each pre-phase hook may produce its phase's
+    result from the previous generation ([None] = run the phase cold).
+    [wh_solve] runs after singleton detection and may return a
+    [Sparse.warm] start for the final solve ([None] = drain cold from every
+    statement); the solve reaches the same least fixpoint either way as
+    long as the warm start meets [Sparse.warm]'s soundness requirement.
+    Hooks execute inside the phase spans, so phase walls reflect the path
+    actually taken. modref, pcg and singleton detection always recompute
+    (cheap; and the reuse guards compare their old-vs-new summaries). *)
 type warm_hooks = {
   wh_andersen : Prog.t -> Fsam_andersen.Solver.t option;
   wh_thread_model :
@@ -97,29 +95,24 @@ type warm_hooks = {
     Fsam_mta.Locks.t ->
     Fsam_mta.Pcg.t ->
     Fsam_memssa.Svfg.t option;
+  wh_solve :
+    Prog.t ->
+    Fsam_andersen.Solver.t ->
+    Fsam_memssa.Svfg.t ->
+    singleton:(int -> bool) ->
+    Sparse.warm option;
 }
 
-val run_with_solve :
-  ?config:config ->
-  ?warm:warm_hooks ->
-  solve:
-    (prog:Prog.t ->
-    ast:Fsam_andersen.Solver.t ->
-    svfg:Fsam_memssa.Svfg.t ->
-    singleton:(int -> bool) ->
-    prov:Fsam_prov.t option ->
-    scheduler:Sparse.scheduler ->
-    Sparse.t) ->
-  Prog.t ->
-  t
-(** [run] with the final sparse solve replaced by a caller-supplied hook,
-    and optional warm-start hooks for the pre-phases. Without [?warm], all
-    pre-phases (Andersen, thread model, MHP, locks, SVFG, singleton
-    detection) run exactly as in [run]; the hook decides how to produce the
-    [Sparse.t] — the incremental engine uses this to warm-start the solve
-    from a previous generation's clean slice, and to retain the [singleton]
-    predicate for the next edit's diff. [run] is this with
-    [Sparse.solve]. *)
+val cold_hooks : warm_hooks
+(** Every hook returns [None]: each phase runs cold. A base for callers
+    that warm-start only some phases ([{ cold_hooks with wh_solve = ... }]). *)
+
+val run : ?config:config -> ?warm:warm_hooks -> Prog.t -> t
+(** Runs the full FSAM pipeline. The program must be in partial SSA
+    (checked). Resets [Fsam_obs] (spans and metrics) at entry; after it
+    returns, the global span tree and metrics registry describe this run.
+    Without [?warm] every phase runs cold; with it, each phase first asks
+    its hook. *)
 
 val run_nonsparse :
   ?config:config -> Prog.t -> Nonsparse.outcome * float

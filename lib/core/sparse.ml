@@ -4,8 +4,6 @@ module A = Fsam_andersen.Solver
 module Svfg = Fsam_memssa.Svfg
 module Obs = Fsam_obs
 
-type scheduler = Fifo | Priority
-
 type t = {
   prog : Prog.t;
   svfg : Svfg.t;
@@ -55,6 +53,16 @@ let unit_of_svfg_node prog svfg n =
   | _ -> Prog.n_stmts prog + n
 
 let unit_count prog svfg = Prog.n_stmts prog + Svfg.n_nodes svfg
+
+(* statement nodes share their gid's unit, so they add no unit of their own *)
+let all_units prog svfg =
+  let units = ref [] in
+  for n = Svfg.n_nodes svfg - 1 downto 0 do
+    match Svfg.node svfg n with
+    | Svfg.Stmt_node _ -> ()
+    | _ -> units := unit_of_svfg_node prog svfg n :: !units
+  done;
+  List.init (Prog.n_stmts prog) Fun.id @ !units
 
 type deps = { d_defs : int list array; d_users : int list array }
 
@@ -112,11 +120,10 @@ let compute_deps prog ast =
    i.e. u defines a top-level var w uses (including the param/return
    bindings performed at call and fork sites) or a points-to fact generated
    at u flows to w along an SVFG edge *)
-let dep_graph prog ast svfg =
+let dep_graph prog svfg { d_defs; d_users } =
   let n_units = unit_count prog svfg in
   let dep = Fsam_graph.Digraph.create ~size_hint:n_units () in
   if n_units > 0 then Fsam_graph.Digraph.ensure_node dep (n_units - 1);
-  let { d_defs; d_users } = compute_deps prog ast in
   Array.iteri
     (fun v defs ->
       match d_users.(v) with
@@ -140,7 +147,7 @@ type warm = {
   w_units : int list;
 }
 
-let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
+let solve ?warm ?prov prog ast svfg ~singleton =
   let n_stmts = Prog.n_stmts prog in
   let memo_hits0, memo_misses0 = Iset.union_memo_stats () in
   let t =
@@ -177,40 +184,7 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
   let { d_users = var_users; _ } =
     Obs.Span.with_ ~name:"sparse.index" (fun () -> compute_deps prog ast)
   in
-  (* rank.(u): topological rank of u's SCC in the unit dependency graph —
-     the priority of the worklist. Computed below at index time (Priority
-     scheduler only; Fifo keeps the legacy queue and skips the
-     condensation). *)
-  let rank = Array.make (max 1 n_units) 0 in
-  (* SCC membership, kept for the convergence monitor (Priority only): a
-     stall warning names the stuck SCC and its size. *)
-  let comp_of = ref [||] in
-  let comp_size = ref [||] in
-  Obs.Span.with_ ~name:"sparse.condense" (fun () ->
-      if scheduler = Priority then begin
-        let dep = dep_graph prog ast svfg in
-        (* condensation: priorities are topological ranks of the SCCs, so
-           each unit is scheduled after its inter-SCC predecessors stabilise
-           and intra-SCC cycles drain to fixpoint before the next rank
-           starts *)
-        let scc = Fsam_graph.Scc.compute dep in
-        comp_of := scc.Fsam_graph.Scc.comp_of;
-        comp_size := Array.map List.length scc.Fsam_graph.Scc.comps;
-        for u = 0 to n_units - 1 do
-          (* component ids are in reverse topological order *)
-          rank.(u) <- scc.Fsam_graph.Scc.n_comps - 1 - scc.Fsam_graph.Scc.comp_of.(u)
-        done;
-        Obs.Metrics.(set (gauge "sparse.scc_count") scc.Fsam_graph.Scc.n_comps);
-        let scc_histo = Obs.Metrics.histogram "sparse.scc_size" in
-        Array.iter
-          (fun members ->
-            match members with
-            | [] -> ()
-            | l -> Obs.Metrics.observe scc_histo (List.length l))
-          scc.Fsam_graph.Scc.comps
-      end);
   let queue = Queue.create () in
-  let heap = Heap.create ~capacity:(max 16 n_units) () in
   let queued = Bitvec.create ~capacity:n_units () in
   let peak = ref 0 in
   (* facts-growth events: each add_var/add_obj call that enlarged a set.
@@ -218,24 +192,10 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
      growth path), monotone, and zero across an interval exactly when the
      solver churned without learning anything. *)
   let facts = ref 0 in
-  let depth () =
-    match scheduler with Fifo -> Queue.length queue | Priority -> Heap.length heap
-  in
-  (* Heap key: SCC rank in the high bits, a global push sequence number in
-     the low bits. Ranks order work between SCCs (a unit runs only once its
-     inter-SCC predecessors' components stabilised); the sequence number
-     breaks ties FIFO, so inside a cyclic SCC members drain round-robin —
-     batching increments per sweep — instead of the min-rank member being
-     eagerly re-processed on every tiny delta arriving from a back edge. *)
-  let seq = ref 0 in
   let push u =
     if Bitvec.set_if_unset queued u then begin
-      (match scheduler with
-      | Fifo -> Queue.add u queue
-      | Priority ->
-        Heap.push heap ~prio:((rank.(u) lsl 40) lor !seq) u;
-        incr seq);
-      let d = depth () in
+      Queue.add u queue;
+      let d = Queue.length queue in
       if d > !peak then peak := d
     end
   in
@@ -393,10 +353,9 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
       (Svfg.o_preds svfg n)
   in
   (* Convergence monitor (profiling only): every [sample_interval]
-     propagations, record worklist/heap depth, cumulative facts and the
-     per-interval delta, union-memo hit/miss deltas, and the rank + SCC
-     size of the unit being drained. [stall_after] consecutive zero-growth
-     samples raise one structured stall warning naming the stuck SCC;
+     propagations, record worklist depth, cumulative facts and the
+     per-interval delta, and union-memo hit/miss deltas. [stall_after]
+     consecutive zero-growth samples raise one structured stall warning;
      the streak keeps counting so a single long stall warns once. *)
   let profiling = Obs.Profile.enabled () in
   let sample_interval = 512 in
@@ -404,23 +363,18 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
   let mon_facts = ref 0 and mon_hits = ref memo_hits0 and mon_misses = ref memo_misses0 in
   let mon_streak = ref 0 in
   let stall_after = 8 in
-  let monitor u =
+  let monitor () =
     if t.iterations land (sample_interval - 1) = 0 then begin
       let hits, misses = Iset.union_memo_stats () in
-      let r = if u < Array.length rank then rank.(u) else 0 in
-      let comp = if u < Array.length !comp_of then (!comp_of).(u) else -1 in
-      let scc_size = if comp >= 0 then (!comp_size).(comp) else 0 in
       let delta = !facts - !mon_facts in
       Obs.Profile.add_sample
         {
           Obs.Profile.s_prop = t.iterations;
-          s_depth = depth ();
+          s_depth = Queue.length queue;
           s_facts = !facts;
           s_facts_delta = delta;
           s_memo_hits = hits - !mon_hits;
           s_memo_misses = misses - !mon_misses;
-          s_rank = r;
-          s_scc_size = scc_size;
         };
       mon_facts := !facts;
       mon_hits := hits;
@@ -429,12 +383,7 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
         incr mon_streak;
         if !mon_streak = stall_after then begin
           Obs.Profile.add_stall
-            {
-              Obs.Profile.st_prop = t.iterations;
-              st_samples = !mon_streak;
-              st_rank = r;
-              st_scc_size = scc_size;
-            };
+            { Obs.Profile.st_prop = t.iterations; st_samples = !mon_streak };
           Obs.Metrics.(add (counter "sparse.stall_warnings") 1)
         end
       end
@@ -449,7 +398,7 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
     t.iterations <- t.iterations + 1;
     if not (Bitvec.set_if_unset seen u) then incr reprocessed;
     if u < n_stmts then process u else process_node (u - n_stmts);
-    if profiling then monitor u
+    if profiling then monitor ()
   in
   Obs.Span.with_ ~name:"sparse.drain" (fun () ->
       (match warm with
@@ -458,18 +407,9 @@ let solve ?(scheduler = Priority) ?warm ?prov prog ast svfg ~singleton =
           push g
         done
       | Some w -> List.iter push w.w_units);
-      match scheduler with
-      | Fifo ->
-        while not (Queue.is_empty queue) do
-          step (Queue.pop queue)
-        done
-      | Priority ->
-        let continue = ref true in
-        while !continue do
-          match Heap.pop_item heap with
-          | Some u -> step u
-          | None -> continue := false
-        done);
+      while not (Queue.is_empty queue) do
+        step (Queue.pop queue)
+      done);
   t.growth <- !facts;
   Obs.Metrics.(add (counter "sparse.propagations") t.iterations);
   Obs.Metrics.(add (counter "sparse.reprocessed") !reprocessed);

@@ -13,15 +13,6 @@ open Fsam_ir
 
 type t
 
-type scheduler =
-  | Fifo  (** plain FIFO queue — the original Figure 10 drain order *)
-  | Priority
-      (** binary heap keyed on the topological rank of each work unit's SCC
-          in the SVFG condensation: a unit runs after its inter-SCC
-          predecessors stabilise, and intra-SCC cycles drain to fixpoint
-          before the next rank starts. Reaches the identical (unique)
-          fixpoint with fewer propagations. *)
-
 (* -- dirty-tracking hooks (incremental re-analysis) ---------------------- *)
 
 type deps = { d_defs : int list array; d_users : int list array }
@@ -39,12 +30,16 @@ val unit_of_svfg_node : Prog.t -> Fsam_memssa.Svfg.t -> int -> int
 (** The work unit draining an SVFG node: the gid for statement nodes,
     [n_stmts + node_id] for merge nodes. *)
 
-val dep_graph :
-  Prog.t -> Fsam_andersen.Solver.t -> Fsam_memssa.Svfg.t -> Fsam_graph.Digraph.t
-(** The unit dependency graph the drain propagates on: an edge [u -> w]
-    whenever processing [u] can enqueue [w]. The incremental engine takes
-    the forward closure of its dirty seeds over this graph; the priority
-    scheduler condenses it into SCC ranks. *)
+val all_units : Prog.t -> Fsam_memssa.Svfg.t -> int list
+(** Every work unit a drain can process: each statement gid, then the
+    unit of each non-statement SVFG node — the seeds of a full
+    verification sweep over a warm start. *)
+
+val dep_graph : Prog.t -> Fsam_memssa.Svfg.t -> deps -> Fsam_graph.Digraph.t
+(** The unit dependency graph the drain propagates on, built from the
+    program's [compute_deps]: an edge [u -> w] whenever processing [u] can
+    enqueue [w]. The incremental planner takes the forward closure of its
+    dirty seeds over this graph. *)
 
 type warm = {
   w_ptv : Fsam_dsa.Iset.t array;  (** pre-proven top-level sets, by var *)
@@ -60,7 +55,6 @@ type warm = {
     drain only revisits seeds and whatever they transitively enqueue. *)
 
 val solve :
-  ?scheduler:scheduler ->
   ?warm:warm ->
   ?prov:Fsam_prov.t ->
   Prog.t ->
@@ -68,10 +62,10 @@ val solve :
   Fsam_memssa.Svfg.t ->
   singleton:(int -> bool) ->
   t
-(** [scheduler] defaults to [Priority]. [warm], when given, pre-loads the
-    carried facts and seeds the worklist with [w_units] instead of every
-    statement; the monotone transfer functions then reach the same unique
-    least fixpoint a cold run would. [prov], when given, records one
+(** Drains a FIFO worklist seeded with every statement (Figure 10's
+    order). [warm], when given, pre-loads the carried facts and seeds the
+    worklist with [w_units] instead; the monotone transfer functions then
+    reach the same unique least fixpoint a cold run would. [prov], when given, records one
     derivation reason per propagated points-to fact (spaces
     [Fsam_prov.sp_var] and [Fsam_prov.sp_mem]) plus the final strong/weak
     verdict of every store ([Fsam_prov.sp_store]); results are identical

@@ -5,20 +5,16 @@
 
 type sample = {
   s_prop : int; (* solver propagations at sample time *)
-  s_depth : int; (* worklist/heap depth *)
+  s_depth : int; (* worklist depth *)
   s_facts : int; (* cumulative points-to facts added *)
   s_facts_delta : int; (* facts added since the previous sample *)
   s_memo_hits : int; (* Iset union-memo hits in the interval *)
   s_memo_misses : int;
-  s_rank : int; (* SCC topological rank of the last-processed unit *)
-  s_scc_size : int; (* size of that unit's SCC *)
 }
 
 type stall = {
   st_prop : int; (* propagation count when the stall was flagged *)
   st_samples : int; (* consecutive zero-progress samples *)
-  st_rank : int; (* the stuck SCC's topological rank *)
-  st_scc_size : int;
 }
 
 let set_enabled = Timeline.set_enabled
@@ -215,8 +211,6 @@ let sample_json s =
       ("facts_delta", Json.Int s.s_facts_delta);
       ("memo_hits", Json.Int s.s_memo_hits);
       ("memo_misses", Json.Int s.s_memo_misses);
-      ("rank", Json.Int s.s_rank);
-      ("scc_size", Json.Int s.s_scc_size);
     ]
 
 let stall_json st =
@@ -224,8 +218,6 @@ let stall_json st =
     [
       ("prop", Json.Int st.st_prop);
       ("samples", Json.Int st.st_samples);
-      ("rank", Json.Int st.st_rank);
-      ("scc_size", Json.Int st.st_scc_size);
     ]
 
 let lane_json l =

@@ -1,8 +1,8 @@
 (** Deep-profiling state and derived views.
 
     Owns the sparse solver's convergence curve (periodic samples of
-    worklist depth, facts-per-interval, union-memo hit rate and the current
-    SCC) plus its stall warnings, and derives two report views: span
+    worklist depth, facts-per-interval and union-memo hit rate) plus its
+    stall warnings, and derives two report views: span
     hotspots by {e exclusive} time and per-lane utilization of the parallel
     regions recorded in {!Timeline}. Enabled via {!set_enabled} (the same
     switch as {!Timeline}); [Driver.run] resets and arms it from
@@ -11,20 +11,16 @@
 
 type sample = {
   s_prop : int;  (** solver propagations at sample time *)
-  s_depth : int;  (** worklist/heap depth *)
+  s_depth : int;  (** worklist depth *)
   s_facts : int;  (** cumulative points-to facts added *)
   s_facts_delta : int;  (** facts added since the previous sample *)
   s_memo_hits : int;  (** Iset union-memo hits in the interval *)
   s_memo_misses : int;
-  s_rank : int;  (** SCC topological rank of the last-processed unit *)
-  s_scc_size : int;
 }
 
 type stall = {
   st_prop : int;
   st_samples : int;  (** consecutive zero-progress samples *)
-  st_rank : int;  (** the stuck SCC's topological rank *)
-  st_scc_size : int;
 }
 
 val set_enabled : bool -> unit

@@ -1,14 +1,15 @@
 (* The resident analysis engine behind [fsam serve]: one loaded program
-   generation (source text, frontend AST, full pipeline results, the
-   singleton predicate captured from the solve), plus the edit / snapshot /
-   restore lifecycle around it. Protocol concerns live in [Protocol].
+   generation (source text, frontend AST, full pipeline results), plus the
+   edit / snapshot / restore lifecycle around it. Protocol concerns live in
+   [Protocol].
 
-   Edits are incremental end to end: the pre-phases warm-start from the
-   previous generation through [Driver.warm_hooks] (Andersen re-solves only
-   the affected closure, the thread model / MHP / lock analysis are reused
-   verbatim when the edit provably left fork/join/lock structure unchanged,
-   and the SVFG is patched in place), and the sparse solve warm-starts from
-   the clean slice via [Incremental.plan]. Every reuse decision is guarded
+   Every run is a [Driver.run]. Edits are incremental end to end: the
+   pre-phases warm-start from the previous generation through
+   [Driver.warm_hooks] (Andersen re-solves only the affected closure, the
+   thread model / MHP / lock analysis are reused verbatim when the edit
+   provably left fork/join/lock structure unchanged, and the SVFG is
+   patched in place), and the [wh_solve] hook warm-starts the sparse solve
+   from the clean slice via [Incremental.plan]. Every reuse decision is guarded
    by a structural comparison of the two generations; any guard failure
    falls that phase back to a cold run and bumps an engine-level
    [serve.fallback_cold.<reason>] counter. Differential mode re-runs the
@@ -45,7 +46,6 @@ type gen = {
           [source] and [snapshot] only *)
   g_ast : Ast.program;
   g_d : D.t;
-  g_singleton : int -> bool;
   g_races : Races.race list Lazy.t;
       (** forced at most once per generation, by the protocol thread *)
 }
@@ -179,29 +179,12 @@ let capture_work d =
     wk_sparse_props = Sparse.n_iterations d.D.sparse;
   }
 
-let mk_gen t ~source ~ast ~d ~singleton =
+let mk_gen t ~source ~ast ~d =
   let jobs = t.config.D.jobs in
-  {
-    g_source = source;
-    g_ast = ast;
-    g_d = d;
-    g_singleton = singleton;
-    g_races = lazy (Races.detect ~jobs d);
-  }
+  { g_source = source; g_ast = ast; g_d = d; g_races = lazy (Races.detect ~jobs d) }
 
-(* Every run goes through [run_with_solve] so the singleton predicate of the
-   solve — an input to the next edit's incremental plan — can be captured. *)
 let run_cold t ~source ~ast =
-  let prog = Lower.lower ast in
-  let captured = ref (fun _ -> false) in
-  let d =
-    D.run_with_solve ~config:t.config
-      ~solve:(fun ~prog ~ast ~svfg ~singleton ~prov ~scheduler ->
-        captured := singleton;
-        Sparse.solve ~scheduler ?prov prog ast svfg ~singleton)
-      prog
-  in
-  mk_gen t ~source ~ast ~d ~singleton:!captured
+  mk_gen t ~source ~ast ~d:(D.run ~config:t.config (Lower.lower ast))
 
 let info_of g =
   let d = g.g_d in
@@ -260,8 +243,6 @@ let splice_fn ast ~fn ~code =
       Error
         (Printf.sprintf "replacement defines %S, expected %S" nf.Ast.fname fn)
     | _ -> Error "replacement code must contain exactly one function definition")
-
-exception Need_cold of string
 
 (* Byte-identity check of two completed runs over the same (deterministically
    lowered) program: Andersen points-to, sparse top-level sets, memory facts
@@ -425,7 +406,8 @@ let locks_guard ~shape ~old_prog ~old_and ~new_prog ~new_and =
 let compute_edit t ~old new_ast =
   let new_source = lazy (Pretty.to_string new_ast) in
   let reason = ref None in
-  let stats = ref None in
+  (* the plan's stats and the object count the warm solve started from *)
+  let planned = ref None in
   let fallbacks = ref [] in
   let note key = fallbacks := key :: !fallbacks in
   let phases = ref None in
@@ -450,6 +432,20 @@ let compute_edit t ~old new_ast =
         and f_locks = ref false
         and f_svfg = ref false in
         let svfg_stats = ref None in
+        let plan_solve prog new_and svfg ~singleton =
+          match
+            Incremental.plan ~diff ~old_prog ~old_and ~old_svfg:old_d.D.svfg
+              ~old_sparse:old_d.D.sparse ~old_singleton:old_d.D.singleton ~new_prog:prog
+              ~new_and ~new_svfg:svfg ~new_singleton:singleton
+          with
+          | Error msg ->
+            reason := Some msg;
+            note "sparse_plan";
+            None
+          | Ok (warm, st) ->
+            planned := Some (st, Prog.n_objs prog);
+            Some warm
+        in
         let warm_hooks =
           {
             D.wh_andersen =
@@ -533,47 +529,34 @@ let compute_edit t ~old new_ast =
                   | Error r ->
                     note r;
                     None);
+            D.wh_solve = plan_solve;
           }
         in
         (* warm pre-phases skip the derivation recording [explain] needs;
-           under --provenance every phase runs cold (the sparse solve still
-           warm-starts — it threads [?prov] through) *)
+           under --provenance every pre-phase runs cold (the sparse solve
+           still warm-starts — it threads [?prov] through) *)
         let warm_hooks =
           if t.config.D.provenance then begin
             note "provenance_mode";
-            None
+            { D.cold_hooks with D.wh_solve = plan_solve }
           end
-          else Some warm_hooks
+          else warm_hooks
         in
-        let captured = ref (fun _ -> false) in
-        match
-          D.run_with_solve ~config:t.config ?warm:warm_hooks
-            ~solve:(fun ~prog ~ast ~svfg ~singleton ~prov ~scheduler ->
-              captured := singleton;
-              let n_objs0 = Prog.n_objs prog in
-              match
-                Incremental.plan ~diff ~old_prog ~old_and ~old_svfg:old_d.D.svfg
-                  ~old_sparse:old_d.D.sparse ~old_singleton:old.g_singleton ~new_prog:prog
-                  ~new_and:ast ~new_svfg:svfg ~new_singleton:singleton
-              with
-              | Error msg ->
-                reason := Some msg;
-                note "sparse_plan";
-                Sparse.solve ~scheduler ?prov prog ast svfg ~singleton
-              | Ok (warm, st) ->
-                let sp = Sparse.solve ~scheduler ~warm ?prov prog ast svfg ~singleton in
-                (* the warm drain skipped clean units; had it materialised a
-                   field object the cold reference run wouldn't have (or in a
-                   different order), every object id after it would drift.
-                   Andersen over-approximates the sparse solve, so this must
-                   not happen — but it is cheap to verify. *)
-                if Prog.n_objs prog <> n_objs0 then
-                  raise (Need_cold "warm solve materialised objects");
-                stats := Some st;
-                sp)
-            new_prog
-        with
-        | d ->
+        let d = D.run ~config:t.config ~warm:warm_hooks new_prog in
+        match !planned with
+        | Some (_, n_objs0) when Prog.n_objs new_prog <> n_objs0 ->
+          (* the warm drain skipped clean units; had it materialised a field
+             object the cold reference run wouldn't have (or in a different
+             order), every object id after it would drift. Andersen
+             over-approximates the sparse solve, so this must not happen —
+             but it is cheap to verify. The tainted [new_prog] is discarded:
+             re-lower from the AST so the cold run sees the pristine object
+             table. *)
+          reason := Some "warm solve materialised objects";
+          note "sparse_growth";
+          planned := None;
+          Ok (run_cold t ~source:new_source ~ast:new_ast)
+        | _ ->
           phases :=
             Some
               {
@@ -590,21 +573,13 @@ let compute_edit t ~old new_ast =
                 ph_svfg_s = d.D.times.D.t_svfg;
                 ph_solve_s = d.D.times.D.t_solve;
               };
-          Ok (mk_gen t ~source:new_source ~ast:new_ast ~d ~singleton:!captured)
-        | exception Need_cold msg ->
-          (* the tainted [new_prog] is discarded: re-lower from the AST so the
-             cold run sees the pristine object table *)
-          reason := Some msg;
-          note "sparse_growth";
-          stats := None;
-          phases := None;
-          Ok (run_cold t ~source:new_source ~ast:new_ast)))
+          Ok (mk_gen t ~source:new_source ~ast:new_ast ~d)))
   in
   match run_incremental () with
   | Error e -> Error e
   | Ok g ->
     let warm_work = capture_work g.g_d in
-    let mode = if !stats = None then `Cold else `Incremental in
+    let mode = if !planned = None then `Cold else `Incremental in
     let cold_propagations, cold_work, identical =
       if t.differential && mode = `Incremental then begin
         let cold = run_cold t ~source:new_source ~ast:new_ast in
@@ -621,7 +596,7 @@ let compute_edit t ~old new_ast =
           e_mode = mode;
           e_reason = !reason;
           e_propagations = Sparse.n_iterations g.g_d.D.sparse;
-          e_stats = !stats;
+          e_stats = Option.map fst !planned;
           e_phases = !phases;
           e_work = warm_work;
           e_fallbacks = List.rev !fallbacks;
@@ -768,68 +743,47 @@ let restore t path =
               raise (Bad_snapshot "corrupt payload"))
       in
       let ast = payload.sp_ast in
-      let prog = Lower.lower ast in
-      let captured = ref (fun _ -> false) in
-      let d =
-        D.run_with_solve ~config:t.config
-          ~solve:(fun ~prog ~ast:and_ ~svfg ~singleton ~prov ~scheduler ->
-            captured := singleton;
-            let n_vars = Prog.n_vars prog in
-            let n_objs = Prog.n_objs prog in
-            let w_ptv = Array.make (max 1 n_vars) Iset.empty in
-            List.iter
-              (fun (v, elts) ->
-                if v < 0 || v >= n_vars then
-                  raise (Bad_snapshot "variable id out of range");
-                w_ptv.(v) <- Iset.of_list elts)
-              payload.sp_ptv;
-            let w_pto =
-              List.map
-                (fun ((nd, obj), elts) ->
-                  let node =
-                    match Svfg.node_id svfg nd with
-                    | Some n -> n
-                    | None -> raise (Bad_snapshot "unknown SVFG node")
-                  in
-                  if obj < 0 || obj >= n_objs then
-                    raise (Bad_snapshot "fact id out of range");
-                  ((node, obj), Iset.of_list elts))
-                payload.sp_pto
-            in
-            (* verification sweep: seed EVERY unit — each statement gid plus
-               each non-statement SVFG node (statement nodes share their gid's
-               unit). With the snapshot pre-loaded this is ~one pass over the
-               program; any fact the snapshot is missing would register as
-               growth, which we reject below. *)
-            let w_units = ref [] in
-            for n = Svfg.n_nodes svfg - 1 downto 0 do
-              match Svfg.node svfg n with
-              | Svfg.Stmt_node _ -> ()
-              | _ -> w_units := Sparse.unit_of_svfg_node prog svfg n :: !w_units
-            done;
-            for g = Prog.n_stmts prog - 1 downto 0 do
-              w_units := g :: !w_units
-            done;
-            let w_units = !w_units in
-            let sp =
-              Sparse.solve ~scheduler ~warm:{ Sparse.w_ptv; w_pto; w_units } ?prov prog
-                and_ svfg ~singleton
-            in
-            if Sparse.n_growth sp <> 0 then
-              raise
-                (Bad_snapshot
-                   (Printf.sprintf
-                      "stale snapshot: verification sweep grew %d facts"
-                      (Sparse.n_growth sp)));
-            sp)
-          prog
+      let restore_solve prog _ svfg ~singleton:_ =
+        let n_vars = Prog.n_vars prog in
+        let n_objs = Prog.n_objs prog in
+        let w_ptv = Array.make (max 1 n_vars) Iset.empty in
+        List.iter
+          (fun (v, elts) ->
+            if v < 0 || v >= n_vars then
+              raise (Bad_snapshot "variable id out of range");
+            w_ptv.(v) <- Iset.of_list elts)
+          payload.sp_ptv;
+        let w_pto =
+          List.map
+            (fun ((nd, obj), elts) ->
+              let node =
+                match Svfg.node_id svfg nd with
+                | Some n -> n
+                | None -> raise (Bad_snapshot "unknown SVFG node")
+              in
+              if obj < 0 || obj >= n_objs then
+                raise (Bad_snapshot "fact id out of range");
+              ((node, obj), Iset.of_list elts))
+            payload.sp_pto
+        in
+        (* verification sweep: seed EVERY unit. With the snapshot
+           pre-loaded this is ~one pass over the program; any fact the
+           snapshot is missing would register as growth, which is rejected
+           once the run returns. *)
+        Some { Sparse.w_ptv; w_pto; w_units = Sparse.all_units prog svfg }
       in
-      if not (String.equal (Svfg.digest d.D.svfg) payload.sp_digest) then
+      let d =
+        D.run ~config:t.config
+          ~warm:{ D.cold_hooks with D.wh_solve = restore_solve }
+          (Lower.lower ast)
+      in
+      let growth = Sparse.n_growth d.D.sparse in
+      if growth <> 0 then
+        Error (Printf.sprintf "stale snapshot: verification sweep grew %d facts" growth)
+      else if not (String.equal (Svfg.digest d.D.svfg) payload.sp_digest) then
         Error "stale snapshot: SVFG fingerprint mismatch"
       else begin
-        let g =
-          mk_gen t ~source:(lazy payload.sp_source) ~ast ~d ~singleton:!captured
-        in
+        let g = mk_gen t ~source:(lazy payload.sp_source) ~ast ~d in
         let info = info_of g in
         set_gen t g;
         Ok info

@@ -239,7 +239,7 @@ let plan ~(diff : Diff.t) ~old_prog ~old_and ~old_svfg ~old_sparse
             = List.sort_uniq compare new_deps.Sparse.d_defs.(nv)
       end
     done;
-    let dep = Sparse.dep_graph new_prog new_and new_svfg in
+    let dep = Sparse.dep_graph new_prog new_svfg new_deps in
     let close () =
       while not (Queue.is_empty pending) do
         let u = Queue.pop pending in

@@ -3,10 +3,12 @@
     {!Fsam_core.Sparse.warm} start — the clean slice of the old fixpoint
     translated into new ids, plus the dirty units that must re-run.
 
-    All pre-phases (Andersen, thread model, MHP, locks, SVFG, singletons)
-    are assumed to have been re-run cold on the new program; only the
-    final sparse solve is warm-started. The file-level comment in the
-    implementation states the clean/dirty soundness argument. *)
+    The engine calls it as the [Driver.warm_hooks.wh_solve] hook, after
+    the new generation's pre-phases (Andersen, thread model, MHP, locks,
+    SVFG, singletons) have produced their results — whether warm-started
+    from the old generation or re-run cold, the plan only reads them. The
+    file-level comment in the implementation states the clean/dirty
+    soundness argument. *)
 
 type stats = {
   s_units : int;  (** work-unit universe size *)

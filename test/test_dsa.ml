@@ -61,83 +61,6 @@ let test_vec () =
   Alcotest.check_raises "oob" (Invalid_argument "Vec: index 5 out of bounds (len 2)")
     (fun () -> ignore (Vec.get v 5))
 
-let test_heap_basics () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "initially empty" true (Heap.is_empty h);
-  Alcotest.(check (option (pair int int))) "pop empty" None (Heap.pop h);
-  Heap.push h ~prio:5 50;
-  Heap.push h ~prio:1 10;
-  Heap.push h ~prio:3 30;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option (pair int int))) "min first" (Some (1, 10)) (Heap.pop h);
-  Heap.push h ~prio:0 0;
-  Alcotest.(check (option int)) "new min" (Some 0) (Heap.pop_item h);
-  Alcotest.(check (option int)) "then 3" (Some 30) (Heap.pop_item h);
-  Alcotest.(check (option int)) "then 5" (Some 50) (Heap.pop_item h);
-  Alcotest.(check bool) "drained" true (Heap.is_empty h);
-  Heap.push h ~prio:9 9;
-  Heap.clear h;
-  Alcotest.(check int) "clear" 0 (Heap.length h)
-
-let prop_heap_model =
-  (* interleaved pushes and pops agree with a sorted-list model: every pop
-     returns a minimal-priority pending element, and nothing is lost *)
-  QCheck.Test.make ~name:"heap vs sorted-list model"
-    QCheck.(list_of_size Gen.(0 -- 60) (option (pair (int_bound 30) (int_bound 100))))
-    (fun ops ->
-      (* Some (prio, item) = push; None = pop *)
-      let h = Heap.create ~capacity:1 () in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some (prio, item) ->
-            Heap.push h ~prio item;
-            model := (prio, item) :: !model;
-            true
-          | None -> (
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some (p, _), pending ->
-              let min_p = List.fold_left (fun a (q, _) -> min a q) max_int pending in
-              if p <> min_p then false
-              else begin
-                (* the heap is not stable: remove any one pending entry with
-                   that priority *)
-                let removed = ref false in
-                model :=
-                  List.filter
-                    (fun (q, _) ->
-                      if (not !removed) && q = p then begin
-                        removed := true;
-                        false
-                      end
-                      else true)
-                    pending;
-                true
-              end
-            | None, _ :: _ -> false))
-        ops
-      && Heap.length h = List.length !model)
-
-let prop_heap_drain_sorted =
-  QCheck.Test.make ~name:"heap drains in priority order"
-    QCheck.(list_of_size Gen.(0 -- 80) small_nat)
-    (fun prios ->
-      let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h ~prio:p i) prios;
-      let drained = ref [] in
-      let rec go () =
-        match Heap.pop h with
-        | Some (p, _) ->
-          drained := p :: !drained;
-          go ()
-        | None -> ()
-      in
-      go ();
-      (* popped priorities, reversed = ascending; multiset = input *)
-      List.rev !drained = List.sort compare prios)
-
 let prop_uf_model =
   (* union-find agrees with a naive equivalence closure *)
   QCheck.Test.make ~name:"union-find vs naive closure"
@@ -298,8 +221,5 @@ let suite =
     Alcotest.test_case "union-find" `Quick test_uf;
     Alcotest.test_case "union-find union_to/grow" `Quick test_uf_union_to;
     Alcotest.test_case "vec" `Quick test_vec;
-    Alcotest.test_case "heap basics" `Quick test_heap_basics;
-    QCheck_alcotest.to_alcotest prop_heap_model;
-    QCheck_alcotest.to_alcotest prop_heap_drain_sorted;
     QCheck_alcotest.to_alcotest prop_uf_model;
   ]

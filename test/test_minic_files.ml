@@ -1,7 +1,7 @@
 (* Integration: the shipped MiniC sample programs compile and analyze with
    the expected results. The files are declared as test dependencies in
-   test/dune, so they are available relative to the test's working
-   directory. *)
+   test/dune, so dune copies them next to the test executable; the path is
+   resolved from the executable, not the working directory. *)
 
 module D = Fsam_core.Driver
 
@@ -14,7 +14,7 @@ let compile_file path =
   in
   Fsam_frontend.Lower.compile_string src
 
-let dir = "../examples/minic/"
+let dir = Filename.concat (Filename.dirname Sys.executable_name) "../examples/minic/"
 
 let pt_of d prog prefix =
   let best = ref [] in

@@ -7,7 +7,9 @@
    - on sequential programs FSAM and NonSparse agree on all top-level
      points-to sets (the sparse analysis "is as precise as the traditional
      iterative data-flow analysis", paper §3.4);
-   - each phase-off ablation produces a superset of the full analysis. *)
+   - each phase-off ablation produces a superset of the full analysis;
+   - a solve warm-started from a cold fixpoint with every unit seeded
+     learns nothing and reaches the same fixpoint. *)
 
 open Fsam_ir
 module D = Fsam_core.Driver
@@ -163,35 +165,41 @@ let test_minic_end_to_end_sound () =
       prog
   done
 
-let test_scheduler_determinism () =
-  (* FIFO and priority scheduling reach the identical fixpoint: same ptv for
-     every variable, same pto at every (svfg node, obj). The fixpoint of the
-     monotone system is unique, so any discrepancy is a scheduling bug. *)
-  for seed = 0 to n_programs - 1 do
-    let prog = W.generate ~seed ~size:26 () in
-    let df = run_fsam ~config:{ D.default_config with scheduler = Fsam_core.Sparse.Fifo } prog in
-    let dp =
-      run_fsam ~config:{ D.default_config with scheduler = Fsam_core.Sparse.Priority } prog
-    in
-    for v = 0 to Prog.n_vars prog - 1 do
-      let a = Fsam_core.Sparse.pt_top df.D.sparse v in
-      let b = Fsam_core.Sparse.pt_top dp.D.sparse v in
-      if not (Iset.equal a b) then
-        Alcotest.failf "seed %d: schedulers disagree on pt(%s): fifo %s vs priority %s" seed
-          (Prog.var_name prog v)
-          (Format.asprintf "%a" Iset.pp a)
-          (Format.asprintf "%a" Iset.pp b)
-    done;
-    let check_pto ~dir x y =
-      Fsam_core.Sparse.iter_pto x (fun ~node ~obj s ->
-          let s' = Fsam_core.Sparse.pto_get y node obj in
-          if not (Iset.equal s s') then
-            Alcotest.failf "seed %d: schedulers disagree on pto(node %d, obj %s) (%s)" seed
-              node (Prog.obj_name prog obj) dir)
-    in
-    check_pto ~dir:"fifo vs priority" df.D.sparse dp.D.sparse;
-    check_pto ~dir:"priority vs fifo" dp.D.sparse df.D.sparse
-  done
+(* The [Driver.warm_hooks.wh_solve] path, as snapshot restore drives it:
+   a second run pre-loaded with a cold run's facts (mapped by SVFG node
+   structure) and seeded with every unit must learn nothing new — zero
+   growth — and land on the identical fixpoint. *)
+let prop_warm_solve_sweep =
+  QCheck.Test.make ~count:25 ~name:"wh_solve sweep from a cold fixpoint grows nothing"
+    QCheck.(int_bound 1000)
+    (fun seed ->
+      let module S = Fsam_core.Sparse in
+      let module Svfg = Fsam_memssa.Svfg in
+      let prog = W.generate ~seed ~size:26 () in
+      let cold = D.run prog in
+      let sweep prog _ svfg ~singleton:_ =
+        let w_ptv = Array.init (Prog.n_vars prog) (S.pt_top cold.D.sparse) in
+        let w_pto = ref [] in
+        S.iter_pto cold.D.sparse (fun ~node ~obj s ->
+            match Svfg.node_id svfg (Svfg.node cold.D.svfg node) with
+            | Some n -> w_pto := ((n, obj), s) :: !w_pto
+            | None -> Alcotest.failf "seed %d: SVFG node %d has no image" seed node);
+        Some { S.w_ptv; w_pto = !w_pto; w_units = S.all_units prog svfg }
+      in
+      let warm = D.run ~warm:{ D.cold_hooks with D.wh_solve = sweep } prog in
+      let facts d =
+        let l = ref [] in
+        S.iter_pto d.D.sparse (fun ~node ~obj s ->
+            if not (Iset.is_empty s) then
+              l := ((Svfg.node d.D.svfg node, obj), Iset.elements s) :: !l);
+        List.sort compare !l
+      in
+      (S.n_growth cold.D.sparse > 0 || S.pts_entries cold.D.sparse = 0)
+      && S.n_growth warm.D.sparse = 0
+      && List.for_all
+           (fun v -> Iset.equal (S.pt_top cold.D.sparse v) (S.pt_top warm.D.sparse v))
+           (List.init (Prog.n_vars prog) Fun.id)
+      && facts cold = facts warm)
 
 let test_interp_runs () =
   (* smoke: the interpreter makes progress and terminates *)
@@ -206,8 +214,7 @@ let suite =
     Alcotest.test_case "andersen sound vs interpreter" `Slow test_andersen_sound;
     Alcotest.test_case "nonsparse sound vs interpreter" `Slow test_nonsparse_sound;
     Alcotest.test_case "fsam refines andersen" `Slow test_fsam_refines_andersen;
-    Alcotest.test_case "fifo/priority schedulers reach identical fixpoint" `Slow
-      test_scheduler_determinism;
+    QCheck_alcotest.to_alcotest prop_warm_solve_sweep;
     Alcotest.test_case "sequential parity sparse=nonsparse" `Slow
       test_sequential_parity_with_nonsparse;
     Alcotest.test_case "ablations are supersets" `Slow test_ablations_are_supersets;

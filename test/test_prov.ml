@@ -26,7 +26,9 @@ let compile_file path =
   in
   Fsam_frontend.Lower.compile_string src
 
-let minic_dir = "../examples/minic/"
+(* resolved from the executable (dune copies the samples next to it), so the
+   suite runs from any working directory *)
+let minic_dir = Filename.concat (Filename.dirname Sys.executable_name) "../examples/minic/"
 
 (* Every true points-to fact (sparse and Andersen, up to [cap] facts) must
    yield a chain, and every chain must replay. *)
