@@ -41,12 +41,12 @@ let config_arg =
 let jobs_arg =
   let doc =
     "Number of domains for the parallelisable passes (MHP sibling seeding, \
-     the SVFG's [THREAD-VF] pair discovery and the post-solve clients). 1 \
-     (the default) runs everything in the calling domain; 0 means auto \
-     (Domain.recommended_domain_count, i.e. Fsam_par.resolve_jobs). Small \
-     inputs stay serial at any value via the adaptive sequential cutoff \
-     (FSAM_PAR_CUTOFF overrides the threshold). Reports are byte-identical \
-     for every value."
+     the SVFG's [THREAD-VF] pair discovery and the leak and deadlock \
+     clients). 1 (the default) runs everything in the calling domain; 0 \
+     means auto (Domain.recommended_domain_count, i.e. \
+     Fsam_par.resolve_jobs). Small inputs stay serial at any value via the \
+     adaptive sequential cutoff. Reports are byte-identical for every \
+     value."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -230,7 +230,7 @@ let races source json trace jobs provenance =
     (fun prog ->
       arm_crash_flush ~json ~trace;
       let d = D.run ~config:{ D.default_config with jobs; provenance } prog in
-      let rs = Fsam_core.Races.detect ~jobs d in
+      let rs = Fsam_core.Races.detect d in
       if rs = [] then Format.printf "no data races found@."
       else begin
         Format.printf "%d potential data race(s):@." (List.length rs);
@@ -366,7 +366,7 @@ let explain source why_pt why_andersen why_mhp why_edge why_race json max_depth 
       (match why_race with
       | None -> ()
       | Some idx ->
-        let rs = Fsam_core.Races.detect ~jobs d in
+        let rs = Fsam_core.Races.detect d in
         if idx < 0 || idx >= List.length rs then begin
           Printf.eprintf "error: race index %d out of range (%d race(s) found)\n" idx
             (List.length rs);

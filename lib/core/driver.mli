@@ -11,7 +11,7 @@ type config = {
   jobs : int;
       (** domain count for the parallelisable passes (MHP sibling seeding
           and the SVFG's [THREAD-VF] pair discovery here; the CLI also
-          hands it to the post-solve clients). [1] (the default) is the
+          hands it to the leak and deadlock clients). [1] (the default) is the
           exact serial path; [0] means [Fsam_par.available_jobs ()].
           Results are identical for every value. *)
   provenance : bool;

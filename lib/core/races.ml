@@ -1,7 +1,6 @@
 open Fsam_dsa
 open Fsam_ir
 module Mta = Fsam_mta
-module Obs = Fsam_obs
 
 type race = { store_gid : int; access_gid : int; obj : int; both_writes : bool }
 
@@ -14,79 +13,39 @@ let accesses d gid =
   | _ -> None
 
 (* Whether every MHP instance pair of the two statements is covered by spans
-   of a common lock. Depends only on the statement pair, not on which common
-   object is being raced on — so callers query it once per pair, not once
-   per object. *)
+   of a common lock. Depends only on the statement pair, not on the object. *)
 let protected d gid gid' =
   let pairs = Mta.Mhp.mhp_pairs_inst d.Driver.mhp gid gid' in
   pairs <> []
   && List.for_all (fun (i, j) -> Mta.Locks.commonly_protected d.Driver.locks i j) pairs
 
-(* Per-chunk accumulator: the races found plus the tallies that become
-   metrics after the fan-out joins (chunk functions must not touch the
-   process-global metrics registry). [lock_queries_saved] counts the
-   [protected] invocations the per-pair hoisting avoids versus the old
-   per-object formulation: |common| - 1 for every MHP pair with a non-empty
-   common object set. *)
-type acc = { mutable races : race list; mutable lock_queries : int; mutable saved : int }
-
-let detect ?(jobs = 1) d =
-  let prog = d.Driver.prog in
-  let stores = ref [] and loads = ref [] in
-  Prog.iter_stmts prog (fun gid _ s ->
-      match s with
-      | Stmt.Store _ -> stores := gid :: !stores
-      | Stmt.Load _ -> loads := gid :: !loads
+(* Every race is one of the SVFG's recorded unprotected [THREAD-VF] pairs:
+   FSAM's points-to sets are subsets of the pre-analysis targets the pairs
+   were enumerated from. The MHP and lock tests are re-applied because an
+   ablation config records a wider set (PCG in place of MHP, no common
+   target, no lock filter); under the default config they always hold. *)
+let detect d =
+  let stride = Prog.n_stmts d.Driver.prog in
+  let verdict = Hashtbl.create 256 in
+  let unprotected_mhp s a =
+    let key = (s * stride) + a in
+    match Hashtbl.find_opt verdict key with
+    | Some b -> b
+    | None ->
+      let b = Mta.Mhp.mhp_stmt d.Driver.mhp s a && not (protected d s a) in
+      Hashtbl.replace verdict key b;
+      b
+  in
+  let races = ref [] in
+  Fsam_memssa.Svfg.iter_unprotected_pairs d.Driver.svfg (fun ~obj:o ~store ~access ->
+      match (accesses d store, accesses d access) with
+      | Some (true, os), Some (w, os') when Iset.mem o os && Iset.mem o os' ->
+        (* write-write pairs are reported once, lower gid as the store *)
+        let s, a = if w && access < store then (access, store) else (store, access) in
+        if unprotected_mhp s a then
+          races := { store_gid = s; access_gid = a; obj = o; both_writes = w } :: !races
       | _ -> ());
-  let stores = Array.of_list (List.rev !stores) in
-  let loads = List.rev !loads in
-  let consider acc s a =
-    match (accesses d s, accesses d a) with
-    | Some (true, os), Some (w', os') ->
-      let common = Iset.inter os os' in
-      if (not (Iset.is_empty common)) && Mta.Mhp.mhp_stmt d.Driver.mhp s a then begin
-        acc.lock_queries <- acc.lock_queries + 1;
-        acc.saved <- acc.saved + Iset.cardinal common - 1;
-        if not (protected d s a) then
-          Iset.iter
-            (fun o ->
-              acc.races <-
-                { store_gid = s; access_gid = a; obj = o; both_writes = w' } :: acc.races)
-            common
-      end
-    | _ -> ()
-  in
-  (* Cost model for the adaptive fan-out, in probe units: every store scans
-     all accesses (the flat quadratic term, ~16 scans per unit), and stores
-     with fatter points-to sets hit the expensive common-object/MHP/lock
-     path proportionally more often — their pt cardinality is the best
-     static proxy for that skew. *)
-  let n_accesses = Array.length stores + List.length loads in
-  let weight i =
-    match Prog.stmt_at prog stores.(i) with
-    | Stmt.Store { dst; _ } ->
-      ((n_accesses + 15) / 16) + Iset.cardinal (Sparse.pt_top d.Driver.sparse dst)
-    | _ -> 1
-  in
-  let chunks =
-    Fsam_par.run_chunks ~label:"races" ~weight ~jobs ~n:(Array.length stores)
-      (fun ~lo ~hi ->
-        let acc = { races = []; lock_queries = 0; saved = 0 } in
-        for i = lo to hi - 1 do
-          let s = stores.(i) in
-          (* per-store timeline event: [a] = store gid, [b] = lock queries
-             so far — attributes chunk imbalance to the dominant stores *)
-          Obs.Timeline.emit ~kind:Obs.Timeline.k_item ~a:s ~b:acc.lock_queries;
-          List.iter (fun a -> consider acc s a) loads;
-          Array.iter (fun a -> if s <= a then consider acc s a) stores
-        done;
-        acc)
-  in
-  let lockq = List.fold_left (fun n a -> n + a.lock_queries) 0 chunks in
-  let saved = List.fold_left (fun n a -> n + a.saved) 0 chunks in
-  Obs.Metrics.(add (counter "races.lock_queries") lockq);
-  Obs.Metrics.(add (counter "races.lock_queries_saved") saved);
-  List.sort_uniq compare (List.concat_map (fun a -> a.races) chunks)
+  List.sort_uniq compare !races
 
 let pp_race d ppf r =
   let prog = d.Driver.prog in

@@ -3,7 +3,18 @@
     happen in parallel, access a common abstract object (per the
     flow-sensitive points-to sets, so FSAM's precision directly prunes
     false positives), at least one of them a write, and not protected by a
-    common lock. *)
+    common lock.
+
+    Races are not searched for: they are read off the SVFG's [THREAD-VF]
+    pair verdicts ({!Fsam_memssa.Svfg.iter_unprotected_pairs}), which
+    already enumerate every MHP store/access pair sharing a pre-analysis
+    target and decide its lock protection. FSAM's points-to sets are
+    subsets of the pre-analysis targets, so every race is a recorded pair;
+    [detect] keeps the pairs whose object is in both statements'
+    flow-sensitive points-to sets, re-checking MHP and lock protection so
+    that the paper's ablation configs, which record wider pair sets, report
+    exactly what the definition above gives. The report is therefore empty
+    when the SVFG was built without its thread-aware stage. *)
 
 type race = {
   store_gid : int;
@@ -12,14 +23,8 @@ type race = {
   both_writes : bool;
 }
 
-val detect : ?jobs:int -> Driver.t -> race list
+val detect : Driver.t -> race list
 (** Deduplicated ([store_gid <= access_gid] for write-write pairs), sorted.
-
-    [jobs] (default 1) fans the quadratic store×access pass out over that
-    many domains via {!Fsam_par.run_chunks}; the report is identical for
-    every [jobs] value. Records [races.lock_queries] (lock-coverage queries
-    actually made, one per unprotected-candidate pair) and
-    [races.lock_queries_saved] (queries avoided by hoisting the
-    object-independent lock check out of the per-object loop). *)
+    Reads only the finished analysis: no metrics, no spans. *)
 
 val pp_race : Driver.t -> Format.formatter -> race -> unit

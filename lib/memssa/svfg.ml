@@ -36,6 +36,9 @@ type t = {
   edge_set : (int * int * int, unit) Hashtbl.t; (* (src, obj, dst) *)
   mutable thread_edges : int;
   racy : (int, Iset.t) Hashtbl.t; (* store gid -> objects with interfering MHP pairs *)
+  pairs : (int, int array) Hashtbl.t;
+      (* object -> its unprotected kept [THREAD-VF] pairs, each packed
+         [store * n_stmts + access]; rows are replaced, never mutated *)
   ekind : (int * int * int, int) Hashtbl.t; (* non-oblivious kinds, prov only *)
   mutable record_prov : Fsam_prov.t option;
   (* -- incremental-patch bookkeeping (see [patch]) -- *)
@@ -676,7 +679,9 @@ let discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter =
         Fsam_par.run_chunks ~label:"svfg.pairs" ~weight:pair_weight ~jobs
           ~n:(Array.length objs) discover)
   in
-  (* serial in-order application of the discovered events *)
+  (* serial in-order application of the discovered events; the
+     unprotected pairs are collected per object into [t.pairs] rows *)
+  let rows = Hashtbl.create 64 in
   Obs.Span.with_ ~name:"svfg.pair_apply" (fun () ->
       Obs.Timeline.with_ring ~region:"svfg.pair_apply" ~lane:0 (fun () ->
       List.iteri
@@ -694,6 +699,8 @@ let discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter =
                 t.thread_edges <- t.thread_edges + 1
               end;
               if unprotected then begin
+                Hashtbl.replace rows o
+                  (((s * obl_stride) + s') :: Option.value ~default:[] (Hashtbl.find_opt rows o));
                 let mark g =
                   Hashtbl.replace t.racy g
                     (Iset.add o (Option.value ~default:Iset.empty (Hashtbl.find_opt t.racy g)))
@@ -702,7 +709,8 @@ let discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter =
                 match Prog.stmt_at prog s' with Stmt.Store _ -> mark s' | _ -> ()
               end)
             res.events)
-        chunks));
+        chunks;
+      Hashtbl.iter (fun o l -> Hashtbl.replace t.pairs o (Array.of_list l)) rows));
   (* flush the chunk-local work tallies *)
   let sum f = List.fold_left (fun n res -> n + f res) 0 chunks in
   Obs.Metrics.(add (counter "svfg.thread_pairs_considered") (sum (fun r -> r.considered)));
@@ -746,6 +754,7 @@ let build ?(config = default_config) ?(jobs = 1) ?prov prog ast mr icfg tm mhp l
       edge_set = Hashtbl.create 4096;
       thread_edges = 0;
       racy = Hashtbl.create 64;
+      pairs = Hashtbl.create 64;
       ekind = Hashtbl.create 64;
       record_prov = prov;
       owners = Hashtbl.create 1024;
@@ -773,6 +782,12 @@ let build ?(config = default_config) ?(jobs = 1) ?prov prog ast mr icfg tm mhp l
 
 let racy_objs t gid = Option.value ~default:Iset.empty (Hashtbl.find_opt t.racy gid)
 
+let iter_unprotected_pairs t f =
+  let stride = Prog.n_stmts t.prog in
+  Hashtbl.iter
+    (fun o row -> Array.iter (fun p -> f ~obj:o ~store:(p / stride) ~access:(p mod stride)) row)
+    t.pairs
+
 (* Stable textual key of a node's structure — gids and object ids, never
    the intern-order index, so fingerprints compare across graphs that
    interned their nodes in different orders. *)
@@ -784,8 +799,9 @@ let node_key t i =
   | Call_chi (g, o) -> Printf.sprintf "c%d.%d" g o
 
 (* Canonical structural fingerprint: edge counts, the sorted structural
-   edge triples, and the racy-object sets per store. Keys are structural
-   (gids / fids / object ids), not intern-order node indices, and nodes
+   edge triples, the racy-object sets per store and the sorted unprotected
+   pair rows per object. Keys are structural (gids / fids / object ids),
+   not intern-order node indices, and nodes
    that carry no edges contribute nothing — so a patched generation (which
    keeps the old generation's node numbering and may retain orphaned
    interns) digests equal to a cold rebuild iff they denote the same graph.
@@ -818,6 +834,14 @@ let digest t =
         (Printf.sprintf "r%d=%s;" gid
            (String.concat "," (List.map string_of_int (Iset.elements r))))
   done;
+  List.iter
+    (fun (o, row) ->
+      let row = Array.copy row in
+      Array.sort Int.compare row;
+      Buffer.add_string buf
+        (Printf.sprintf "p%d=%s;" o
+           (String.concat "," (Array.to_list (Array.map string_of_int row)))))
+    (List.sort compare (Hashtbl.fold (fun o row acc -> (o, row) :: acc) t.pairs []));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ------------------------------------------------------------------------ *)
@@ -843,14 +867,15 @@ let digest t =
       per-fn oblivious construction for dirty functions only, appending
       re-derived rows.
    3. {b dirty objects} — [THREAD-VF] discovery is independent per object
-      (edges, dedup checks and racy marks are all keyed by the object), and
-      per object it is a pure function of the object's oblivious rows, its
+      (edges, dedup checks, racy marks and pair rows are all keyed by the
+      object), and per object it is a pure function of the object's oblivious rows, its
       access lists with their points-to sets, and the reused mta indexes.
       An object whose oblivious row multiset changed, or that entered/left
-      an access's points-to set, is dirty; its old thread-vf edges and racy
-      marks are discarded and discovery re-runs for exactly the dirty
-      objects over the parallel fan-out. Clean objects keep their edges and
-      marks, which a cold build would reproduce identically.
+      an access's points-to set, is dirty; its old thread-vf edges, racy
+      marks and pair row are discarded and discovery re-runs for exactly
+      the dirty objects over the parallel fan-out. Clean objects keep their
+      edges, marks and rows, which a cold build would reproduce
+      identically.
 
    The result is byte-identical (structural digest, racy sets, counters of
    retained work excluded) to a cold [build] of the new program — the serve
@@ -885,6 +910,7 @@ let clone t =
     edge_set = Hashtbl.copy t.edge_set;
     thread_edges = t.thread_edges;
     racy = Hashtbl.copy t.racy;
+    pairs = Hashtbl.copy t.pairs;
     ekind = Hashtbl.copy t.ekind;
     record_prov = t.record_prov;
     owners = Hashtbl.copy t.owners;
@@ -1109,6 +1135,7 @@ let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr
            let r' = Iset.diff r dobjs in
            if Iset.is_empty r' then Hashtbl.remove t.racy g
            else if not (Iset.equal r r') then Hashtbl.replace t.racy g r');
+    Iset.iter (Hashtbl.remove t.pairs) dobjs;
     discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter:(fun o -> Iset.mem o dobjs);
     Obs.Metrics.(set (gauge "svfg.nodes") (n_nodes t));
     Obs.Metrics.(set (gauge "svfg.edges") (n_edges t));

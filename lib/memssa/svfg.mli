@@ -73,6 +73,14 @@ val n_thread_aware_edges : t -> int
     are suppressed — the interleaving may order the racing accesses either
     way, so a kill could erase a concurrent thread's later effect. *)
 val racy_objs : t -> int -> Fsam_dsa.Iset.t
+
+val iter_unprotected_pairs : t -> (obj:int -> store:int -> access:int -> unit) -> unit
+(** Every kept [THREAD-VF] pair [(obj, store, access)] that at least one
+    MHP instance pair leaves without a common lock — the verdicts behind
+    {!racy_objs}, in no particular order. Each ablation widens the set
+    (PCG in place of MHP, no common target, no lock filter); it is empty
+    when the thread-aware stage is off. [Races.detect] filters it. *)
+
 val prog : t -> Prog.t
 
 val arena_occupancy : t -> int * int
@@ -82,11 +90,11 @@ val arena_occupancy : t -> int * int
 
 val digest : t -> string
 (** Hex digest of the graph's canonical structural fingerprint (edge
-    counts, sorted structural edge triples, racy-object sets). Keys are
-    structural — gids, fids and object ids, never intern-order node
-    indices — so an incrementally patched graph digests equal to a cold
-    rebuild iff they denote the same graph. Used by the jobs-invariance
-    tests and the serve differential mode. *)
+    counts, sorted structural edge triples, racy-object sets, sorted
+    unprotected pair rows). Keys are structural — gids, fids and object
+    ids, never intern-order node indices — so an incrementally patched
+    graph digests equal to a cold rebuild iff they denote the same graph.
+    Used by the jobs-invariance tests and the serve differential mode. *)
 
 val node_key : t -> int -> string
 (** Stable textual key of a node's structure (gid / fid / object id, never

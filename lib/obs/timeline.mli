@@ -2,9 +2,9 @@
 
     A {!ring} is a fixed-width ring buffer of timestamped events
     [(t_us, kind, a, b)] — all ints, 4 per slot — written lock-free by
-    exactly one domain. {!Fsam_par.run_chunks} creates one ring per chunk
-    when profiling is enabled, installs it as the chunk domain's {e current}
-    ring, and absorbs all rings after the join; analysis code inside chunks
+    exactly one domain. {!Fsam_par.run_chunks} creates one ring per worker
+    lane when profiling is enabled, installs it as the lane domain's
+    {e current} ring, and absorbs all rings after the join; analysis code inside chunks
     reports per-item progress through {!emit} without knowing which lane it
     runs on. Everything is a no-op while {!enabled} is [false]: the
     instrumentation points cost one atomic load each.

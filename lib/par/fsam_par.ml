@@ -5,12 +5,6 @@ module Mono = Obs.Monotonic
 let available_jobs () = Domain.recommended_domain_count ()
 let resolve_jobs j = if j <= 0 then available_jobs () else j
 
-type strategy = Chunked | Adaptive
-
-let default_strategy_ref = ref Adaptive
-let default_strategy () = !default_strategy_ref
-let set_default_strategy s = default_strategy_ref := s
-
 (* The sequential cutoff, in caller-supplied weight units (callers scale
    weights to roughly "one pairwise probe" each, ~50-200ns of work). The
    default is measured against Domain.spawn + join at ~100-300us per
@@ -20,20 +14,12 @@ let set_default_strategy s = default_strategy_ref := s
    those sub-millisecond regions. *)
 let default_cutoff = 65536
 
-let cutoff_ref =
-  ref
-    (match Sys.getenv_opt "FSAM_PAR_CUTOFF" with
-    | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some c when c >= 0 -> c
-      | _ -> default_cutoff)
-    | None -> default_cutoff)
+let cutoff_ref = ref default_cutoff
 
 let cutoff () = !cutoff_ref
 let set_cutoff c = cutoff_ref := max 0 c
 
-(* Chunk [i] of [k] over [0, n): boundaries depend only on (n, k), so the
-   decomposition — and with it the ordered merge — is deterministic. *)
+(* Chunk [i] of [k] near-equal contiguous pieces of [0, n). *)
 let chunk_bounds ~n ~k i = (i * n / k, (i + 1) * n / k)
 
 (* Upper bound on adaptive blocks: enough granularity for stealing to level
@@ -128,68 +114,6 @@ let finish_obs ~label ~jobs ~k ~blocks ~wall_us obs =
   | _ -> ());
   List.iter (fun c -> match c.c_ring with Some r -> Timeline.absorb r | None -> ()) obs;
   record_metrics ~label ~jobs ~k ~blocks ~wall_us obs
-
-(* -- legacy chunked execution ---------------------------------------------- *)
-
-(* One contiguous chunk per lane, k = min jobs n: the PR-3 semantics, kept
-   as the reference implementation the adaptive scheduler is differentially
-   tested against (and for callers that want the decomposition tied to the
-   jobs value). *)
-let run_chunked ~label ~jobs ~n f =
-  let k = max 1 (min jobs n) in
-  let profiling = Timeline.enabled () in
-  let t_start = Mono.now_us () in
-  (* Each chunk owns a fresh ring installed as its domain's current ring:
-     chunk boundaries and intern-table contention are recorded here, and
-     analysis code inside [f] adds per-item events via [Timeline.emit]. *)
-  let timed lane lo hi () =
-    let ring =
-      if profiling then Some (Timeline.create_ring ~region:label ~lane ()) else None
-    in
-    Timeline.set_current ring;
-    (match ring with
-    | Some r -> Timeline.record r ~kind:Timeline.k_chunk_start ~a:lo ~b:hi
-    | None -> ());
-    let c0 = Fsam_dsa.Iset.intern_contention () in
-    let t0 = Mono.now_us () in
-    Fun.protect
-      ~finally:(fun () -> Timeline.set_current None)
-      (fun () ->
-        let r = f ~lo ~hi in
-        let wall_us = Mono.elapsed_us ~since_us:t0 in
-        let dc = Fsam_dsa.Iset.intern_contention () - c0 in
-        (match ring with
-        | Some rg ->
-          if dc > 0 then Timeline.record rg ~kind:Timeline.k_contention ~a:dc ~b:0;
-          Timeline.record rg ~kind:Timeline.k_chunk_stop ~a:(hi - lo) ~b:dc
-        | None -> ());
-        (r, { c_wall_us = wall_us; c_items = hi - lo; c_contention = dc; c_ring = ring }))
-  in
-  let results =
-    if k = 1 then [ timed 0 0 n () ]
-    else begin
-      (* spawn chunks 1..k-1, keep chunk 0 for the calling domain: the
-         caller does its share of the work instead of blocking in join *)
-      let workers =
-        List.init (k - 1) (fun i ->
-            let lo, hi = chunk_bounds ~n ~k (i + 1) in
-            Domain.spawn (timed (i + 1) lo hi))
-      in
-      let r0 =
-        let lo, hi = chunk_bounds ~n ~k 0 in
-        match timed 0 lo hi () with
-        | r -> r
-        | exception e ->
-          (* never leak un-joined domains; the chunk-0 failure wins *)
-          List.iter (fun d -> try ignore (Domain.join d) with _ -> ()) workers;
-          raise e
-      in
-      r0 :: List.map Domain.join workers
-    end
-  in
-  let wall_us = Mono.elapsed_us ~since_us:t_start in
-  finish_obs ~label ~jobs ~k ~blocks:k ~wall_us (List.map snd results);
-  List.map fst results
 
 (* -- adaptive execution: work-stealing over the planned blocks ------------- *)
 
@@ -310,11 +234,5 @@ let run_blocks ~label ~jobs ~bounds f =
   Array.iter (function Some e -> raise e | None -> ()) errors;
   List.init nb (fun b -> Option.get results.(b))
 
-let run_chunks ?(label = "par") ?strategy ?weight ?cutoff ~jobs ~n f =
-  let jobs = resolve_jobs jobs in
-  let strategy = match strategy with Some s -> s | None -> !default_strategy_ref in
-  match strategy with
-  | Chunked -> run_chunked ~label ~jobs ~n f
-  | Adaptive ->
-    let bounds = plan ?weight ?cutoff ~n () in
-    run_blocks ~label ~jobs ~bounds f
+let run_chunks ?(label = "par") ?weight ?cutoff ~jobs ~n f =
+  run_blocks ~label ~jobs:(resolve_jobs jobs) ~bounds:(plan ?weight ?cutoff ~n ()) f

@@ -1,30 +1,24 @@
-(** Deterministic domain-pool fan-out for the post-solve client analyses.
+(** Deterministic domain-pool fan-out for the read-only analysis passes.
 
-    The clients (race, leak and deadlock detection, MHP sibling seeding,
-    the SVFG's [THREAD-VF] pair discovery) are read-only over prior
+    The clients (leak and deadlock detection, MHP sibling seeding, the
+    SVFG's [THREAD-VF] pair discovery) are read-only over prior
     analysis results and quadratic in some index range, so they parallelise
     by splitting the range into contiguous pieces, evaluating each in an
     OCaml 5 domain, and merging the per-piece accumulators {e in range
     order} — the concatenated result is byte-identical to the serial
     left-to-right traversal for every [jobs] value.
 
-    Two scheduling strategies:
-
-    - {!Adaptive} (the default): the range is first decomposed by {!plan}
-      into weight-balanced {e blocks} — a pure function of
-      [(n, weights, cutoff)], never of [jobs] or the machine, which is what
-      keeps per-block state and counters identical across jobs values. When
-      the estimated total weight is below the sequential {!cutoff} the
-      whole range is a single block evaluated in the calling domain: no
-      [Domain.spawn], no per-worker gauges, no regression on small inputs.
-      Above it, [min jobs blocks] workers run a work-stealing scheduler
-      over the block indices (owners pop their deque front-to-back, idle
-      workers steal from the tail), so stragglers no longer serialise the
-      region; which {e domain} runs a block is racy, but results are keyed
-      by block index and merged in block order.
-    - {!Chunked}: the legacy PR-3 decomposition, exactly [min jobs n]
-      contiguous chunks of near-equal size, one per domain. Kept as the
-      reference the adaptive scheduler is differentially tested against.
+    The range is first decomposed by {!plan} into weight-balanced
+    {e blocks} — a pure function of [(n, weights, cutoff)], never of [jobs]
+    or the machine, which is what keeps per-block state and counters
+    identical across jobs values. When the estimated total weight is below
+    the sequential {!cutoff} the whole range is a single block evaluated in
+    the calling domain: no [Domain.spawn], no per-worker gauges, no
+    regression on small inputs. Above it, [min jobs blocks] workers run a
+    work-stealing scheduler over the block indices (owners pop their deque
+    front-to-back, idle workers steal from the tail), so stragglers do not
+    serialise the region; which {e domain} runs a block is racy, but
+    results are keyed by block index and merged in block order.
 
     Contract for the chunk function: it must not touch the process-global
     observability state ({!Fsam_obs.Span}, {!Fsam_obs.Metrics} — neither is
@@ -38,27 +32,16 @@ val resolve_jobs : int -> int
 (** [resolve_jobs j] is [available_jobs ()] when [j <= 0] ([0 = auto]),
     else [j]. *)
 
-type strategy = Chunked | Adaptive
-
-val default_strategy : unit -> strategy
-val set_default_strategy : strategy -> unit
-(** Process-global default used when {!run_chunks} gets no [?strategy]
-    (initially {!Adaptive}). Main domain only — meant for tests and
-    harnesses, not for flipping mid-region. *)
-
 val default_cutoff : int
 (** The built-in sequential cutoff, in weight units (≈ one pairwise probe
     each): 65536. *)
 
 val cutoff : unit -> int
 val set_cutoff : int -> unit
-(** The active sequential cutoff. Initialised from [FSAM_PAR_CUTOFF] when
-    set (non-negative integer), else {!default_cutoff}. Ranges whose total
-    weight falls below it run serially in the calling domain. *)
-
-val chunk_bounds : n:int -> k:int -> int -> (int * int)
-(** [chunk_bounds ~n ~k i] = chunk [i] of the {!Chunked} decomposition of
-    [\[0, n)] into [k] near-equal contiguous chunks. *)
+(** The active sequential cutoff, initially {!default_cutoff}. Ranges
+    whose total weight falls below it run serially in the calling domain.
+    [set_cutoff] is a test seam (main domain only): a small cutoff makes
+    tiny inputs exercise the work-stealing path. *)
 
 val plan : ?weight:(int -> int) -> ?cutoff:int -> n:int -> unit -> int array
 (** The adaptive block decomposition: boundaries [b.(0) = 0 <= ... <=
@@ -72,7 +55,6 @@ val plan : ?weight:(int -> int) -> ?cutoff:int -> n:int -> unit -> int array
 
 val run_chunks :
   ?label:string ->
-  ?strategy:strategy ->
   ?weight:(int -> int) ->
   ?cutoff:int ->
   jobs:int ->
@@ -82,17 +64,14 @@ val run_chunks :
 (** [run_chunks ~jobs ~n f] evaluates [f ~lo ~hi] over a decomposition of
     [\[0, n)] ([lo] inclusive, [hi] exclusive) and returns the results in
     range order. [jobs] is passed through {!resolve_jobs} ([<= 0] means
-    auto). [?weight]/[?cutoff] feed {!plan} (Adaptive only); [?strategy]
-    overrides {!default_strategy}.
+    auto). [?weight]/[?cutoff] feed {!plan}.
 
-    Determinism: the Adaptive decomposition ignores [jobs], so the list of
-    [f] invocations — and therefore anything [f] accumulates per block —
-    is identical for every jobs value; the Chunked decomposition depends on
-    [jobs] but each chunk is still a pure contiguous range merged in
-    order. Under Adaptive, an exception from [f] is recorded, the remaining
-    blocks still run, and the failure with the smallest block index is
-    re-raised after the join; under Chunked the chunk-0 failure wins after
-    joining the workers.
+    Determinism: the decomposition ignores [jobs], so the list of [f]
+    invocations — and therefore anything [f] accumulates per block — is
+    identical for every jobs value, and the concatenated results equal the
+    serial left-to-right traversal. An exception from [f] is recorded, the
+    remaining blocks still run, and the failure with the smallest block
+    index is re-raised after the join.
 
     After the join, per-domain wall times and the imbalance are recorded
     in {!Fsam_obs.Metrics} (from the calling domain only):

@@ -179,12 +179,11 @@ let capture_work d =
     wk_sparse_props = Sparse.n_iterations d.D.sparse;
   }
 
-let mk_gen t ~source ~ast ~d =
-  let jobs = t.config.D.jobs in
-  { g_source = source; g_ast = ast; g_d = d; g_races = lazy (Races.detect ~jobs d) }
+let mk_gen ~source ~ast ~d =
+  { g_source = source; g_ast = ast; g_d = d; g_races = lazy (Races.detect d) }
 
 let run_cold t ~source ~ast =
-  mk_gen t ~source ~ast ~d:(D.run ~config:t.config (Lower.lower ast))
+  mk_gen ~source ~ast ~d:(D.run ~config:t.config (Lower.lower ast))
 
 let info_of g =
   let d = g.g_d in
@@ -248,7 +247,7 @@ let splice_fn ast ~fn ~code =
    lowered) program: Andersen points-to, sparse top-level sets, memory facts
    (keyed by SVFG node {e structure} — a patched graph and a cold rebuild
    intern their nodes in different orders), SVFG fingerprint, races. *)
-let same_results ~jobs a b =
+let same_results a b =
   let n = Prog.n_vars a.D.prog in
   let and_ok = ref (n = Prog.n_vars b.D.prog) in
   if !and_ok then
@@ -280,7 +279,7 @@ let same_results ~jobs a b =
   end;
   !ptv_ok && !pto_ok
   && String.equal (Svfg.digest a.D.svfg) (Svfg.digest b.D.svfg)
-  && List.sort compare (Races.detect ~jobs a) = List.sort compare (Races.detect ~jobs b)
+  && Races.detect a = Races.detect b
 
 (* -- cross-generation reuse guards ----------------------------------------- *)
 
@@ -573,7 +572,7 @@ let compute_edit t ~old new_ast =
                 ph_svfg_s = d.D.times.D.t_svfg;
                 ph_solve_s = d.D.times.D.t_solve;
               };
-          Ok (mk_gen t ~source:new_source ~ast:new_ast ~d)))
+          Ok (mk_gen ~source:new_source ~ast:new_ast ~d)))
   in
   match run_incremental () with
   | Error e -> Error e
@@ -586,7 +585,7 @@ let compute_edit t ~old new_ast =
         let cw = capture_work cold.g_d in
         ( Some (Sparse.n_iterations cold.g_d.D.sparse),
           Some cw,
-          Some (same_results ~jobs:t.config.D.jobs g.g_d cold.g_d) )
+          Some (same_results g.g_d cold.g_d) )
       end
       else (None, None, None)
     in
@@ -783,7 +782,7 @@ let restore t path =
       else if not (String.equal (Svfg.digest d.D.svfg) payload.sp_digest) then
         Error "stale snapshot: SVFG fingerprint mismatch"
       else begin
-        let g = mk_gen t ~source:(lazy payload.sp_source) ~ast ~d in
+        let g = mk_gen ~source:(lazy payload.sp_source) ~ast ~d in
         let info = info_of g in
         set_gen t g;
         Ok info

@@ -91,8 +91,8 @@ val races : t -> Fsam_core.Races.race list
     cached for the generation's lifetime. *)
 
 val races_cached : t -> bool
-(** Whether {!races} has already been forced for the resident generation
-    (a cached report is safe to serve while an edit is in flight). *)
+(** Whether {!races} has already been forced for the resident generation,
+    i.e. whether the next {!races} is a cached read. *)
 
 val fallback_total : t -> int
 (** Total cold fallbacks (any phase) across all edits of this engine. *)

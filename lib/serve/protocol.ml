@@ -80,7 +80,7 @@ let driver srv =
   else raise (Err ("no_program", "no program loaded — send a \"load\" request first"))
 
 (* Generation-pinned concurrency policy: while an asynchronous edit is in
-   flight, pure reads (points-to, alias, mhp, status, cached races) keep
+   flight, pure reads (points-to, alias, mhp, status, races) keep
    answering from the resident — immutable — generation. Anything that
    would replace the generation or touch the process-global metrics /
    span registries (which the edit's pipeline run owns) must wait. *)
@@ -302,10 +302,6 @@ let op_mhp srv req =
 
 let op_races srv =
   let d = driver srv in
-  (* computing races touches the process-global metrics registry the
-     in-flight edit's pipeline owns; a report already cached on this
-     generation is a pure read *)
-  if not (Engine.races_cached srv.eng) then require_not_busy srv "race detection";
   let rs = Engine.races srv.eng in
   [ ("count", J.Int (List.length rs)); ("races", J.List (List.map (race_json d.D.prog) rs)) ]
 

@@ -13,6 +13,7 @@ let () =
       ("workloads", Test_workloads.suite);
       ("svfg", Test_svfg.suite);
       ("clients", Test_clients.suite);
+      ("races", Test_races.suite);
       ("misc", Test_misc.suite);
       ("minic-files", Test_minic_files.suite);
       ("pretty", Test_pretty.suite);

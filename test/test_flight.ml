@@ -60,14 +60,21 @@ let test_ring_wraparound () =
   | _ -> Alcotest.fail "to_json not an object"
 
 (* Request ids strictly increasing and entries complete while an async edit
-   runs concurrently with queries. *)
+   runs concurrently with queries; an uncached race report requested
+   mid-edit answers from the pinned generation. *)
+let racy_source =
+  "int g;\nvoid writer(int *p) { *p = 1; }\nint main() { int *q; q = &g; \
+   fork(null, writer, q); *q = 2; return 0; }\n"
+
 let test_ordering_async_edit () =
   let stats = Stats.create ~flight_cap:8 ~slow_ms:(-1.0) () in
   let eng = Engine.create () in
   let srv = Protocol.create ~stats eng in
   let ok_or_fail what r = if not (is_ok r) then Alcotest.failf "%s failed" what in
   ok_or_fail "load"
-    (req srv [ ("id", J.Int 1); ("op", J.String "load"); ("source", J.String tiny_source) ]);
+    (req srv [ ("id", J.Int 1); ("op", J.String "load"); ("source", J.String racy_source) ]);
+  let pinned = Fsam_core.Races.detect (Engine.driver eng) in
+  Alcotest.(check bool) "pinned generation races" true (pinned <> []);
   ok_or_fail "async edit"
     (req srv
        [
@@ -78,7 +85,23 @@ let test_ordering_async_edit () =
          ("code", J.String "void writer(int *p) { *p = 3; }");
        ]);
   (* queries interleave with the in-flight edit *)
-  for i = 3 to 6 do
+  let races_reply = req srv [ ("id", J.Int 3); ("op", J.String "races") ] in
+  ok_or_fail "races during async edit" races_reply;
+  let triple r =
+    match (J.member "store" r, J.member "access" r, J.member "obj" r) with
+    | Some (J.Int s), Some (J.Int a), Some (J.Int o) -> (s, a, o)
+    | _ -> Alcotest.fail "malformed race entry"
+  in
+  Alcotest.(check (list (triple int int int)))
+    "races report is the pinned generation's"
+    (List.map
+       (fun (r : Fsam_core.Races.race) ->
+         Fsam_core.Races.(r.store_gid, r.access_gid, r.obj))
+       pinned)
+    (match J.member "races" races_reply with
+    | Some (J.List rs) -> List.map triple rs
+    | _ -> Alcotest.fail "races reply without a races list");
+  for i = 4 to 6 do
     ok_or_fail "pinned query"
       (req srv [ ("id", J.Int i); ("op", J.String "points-to"); ("var", J.String "q") ])
   done;

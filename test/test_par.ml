@@ -5,9 +5,11 @@
    - Iset domain-safety: concurrent union/inter/add from 4 domains preserve
      the hash-consing invariants (structurally equal sets are physically
      equal across domains, [hash]/[compare] consistent with [equal]);
-   - client determinism: Races/Leaks/Deadlocks reports and the MHP facts
-     are identical for jobs ∈ {1, 2, 4} on random MiniC programs and on
-     random IR programs. *)
+   - client determinism: Leaks/Deadlocks reports and the MHP facts are
+     identical for jobs ∈ {1, 2, 4} on random MiniC programs and on random
+     IR programs, and so is the race report of a pipeline run at each jobs
+     value (races are read off the SVFG, whose pair discovery is the
+     parallel region). *)
 
 module D = Fsam_core.Driver
 module Iset = Fsam_dsa.Iset
@@ -16,15 +18,16 @@ module Iset = Fsam_dsa.Iset
 
 let test_run_chunks_decomposition () =
   List.iter
-    (fun (n, jobs) ->
+    (fun (n, jobs, cutoff) ->
+      let weight i = 1 + (i mod 3) in
       let chunks =
-        Fsam_par.run_chunks ~strategy:Fsam_par.Chunked ~jobs ~n (fun ~lo ~hi -> (lo, hi))
+        Fsam_par.run_chunks ~weight ~cutoff ~jobs ~n (fun ~lo ~hi -> (lo, hi))
       in
-      (* contiguous cover of [0, n) in order, sizes differing by <= 1 *)
-      let expected_k = max 1 (min jobs n) in
+      (* exactly the planned blocks, a contiguous cover of [0, n) in order *)
       Alcotest.(check int)
-        (Printf.sprintf "n=%d jobs=%d: chunk count" n jobs)
-        expected_k (List.length chunks);
+        (Printf.sprintf "n=%d jobs=%d cutoff=%d: block count" n jobs cutoff)
+        (Array.length (Fsam_par.plan ~weight ~cutoff ~n ()) - 1)
+        (List.length chunks);
       let last =
         List.fold_left
           (fun prev (lo, hi) ->
@@ -33,18 +36,14 @@ let test_run_chunks_decomposition () =
             hi)
           0 chunks
       in
-      Alcotest.(check int) "covers n" n last;
-      let sizes = List.map (fun (lo, hi) -> hi - lo) chunks in
-      let mx = List.fold_left max 0 sizes and mn = List.fold_left min n sizes in
-      if n >= expected_k then
-        Alcotest.(check bool) "balanced" true (mx - mn <= 1))
-    [ (0, 1); (0, 4); (1, 4); (10, 3); (10, 1); (3, 8); (1000, 4); (7, 7) ]
+      Alcotest.(check int) "covers n" n last)
+    [ (0, 1, 0); (0, 4, 0); (1, 4, 0); (10, 3, 4); (10, 1, 4); (3, 8, 0); (1000, 4, 64);
+      (1000, 4, 65536); (7, 7, 1) ]
 
 let test_run_chunks_ordered_merge () =
-  (* concatenating per-chunk accumulators in chunk order must equal the
-     serial left-to-right traversal, for any jobs value and both
-     strategies; the adaptive run uses a tiny cutoff and skewed weights so
-     the work-stealing path actually engages *)
+  (* concatenating per-block accumulators in block order must equal the
+     serial left-to-right traversal, for any jobs value; the tiny cutoff and
+     skewed weights make the work-stealing path actually engage *)
   let n = 237 in
   let serial = List.init n (fun i -> i * i) in
   let body ~lo ~hi =
@@ -54,20 +53,13 @@ let test_run_chunks_ordered_merge () =
   in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun (name, run) ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "%s jobs=%d merge" name jobs)
-            serial
-            (List.concat (run jobs)))
-        [
-          ("chunked", fun jobs -> Fsam_par.run_chunks ~strategy:Fsam_par.Chunked ~jobs ~n body);
-          ( "adaptive",
-            fun jobs ->
-              Fsam_par.run_chunks ~strategy:Fsam_par.Adaptive ~cutoff:16
-                ~weight:(fun i -> 1 + (i mod 7))
-                ~jobs ~n body );
-        ])
+      let blocks =
+        Fsam_par.run_chunks ~cutoff:16 ~weight:(fun i -> 1 + (i mod 7)) ~jobs ~n body
+      in
+      Alcotest.(check bool) "decomposed" true (List.length blocks > 1);
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d merge" jobs)
+        serial (List.concat blocks))
     [ 1; 2; 3; 4; 8 ]
 
 let test_run_chunks_serial_path () =
@@ -80,7 +72,7 @@ let test_run_chunks_serial_path () =
   (* sub-cutoff work stays on the calling domain even at jobs=4 *)
   let lanes = ref [] in
   ignore
-    (Fsam_par.run_chunks ~strategy:Fsam_par.Adaptive ~jobs:4 ~n:64 (fun ~lo:_ ~hi:_ ->
+    (Fsam_par.run_chunks ~jobs:4 ~n:64 (fun ~lo:_ ~hi:_ ->
          lanes := Domain.self () :: !lanes));
   Alcotest.(check bool) "sub-cutoff jobs=4 stays on the calling domain" true
     (!lanes = [ self ])
@@ -123,7 +115,7 @@ let test_adaptive_ranges_jobs_invariant () =
      result — must not depend on jobs: per-block caches and counters hinge
      on this *)
   let ranges jobs =
-    Fsam_par.run_chunks ~strategy:Fsam_par.Adaptive ~cutoff:32
+    Fsam_par.run_chunks ~cutoff:32
       ~weight:(fun i -> 1 + (i mod 5))
       ~jobs ~n:500
       (fun ~lo ~hi -> (lo, hi))
@@ -147,11 +139,11 @@ let test_cutoff_fires_no_domain_gauges () =
   let body ~lo ~hi = hi - lo in
   (* wide run first: cutoff 0 forces the parallel path, leaving domain1+ *)
   ignore
-    (Fsam_par.run_chunks ~label ~strategy:Fsam_par.Adaptive ~cutoff:0 ~jobs:4 ~n:600 body);
+    (Fsam_par.run_chunks ~label ~cutoff:0 ~jobs:4 ~n:600 body);
   Alcotest.(check bool) "wide run recorded domain1" true
     (Fsam_obs.Metrics.find_gauge "par.cutofftest.domain1.wall_us" <> None);
   (* sub-threshold run: serial, and the stale per-domain gauges are gone *)
-  ignore (Fsam_par.run_chunks ~label ~strategy:Fsam_par.Adaptive ~jobs:4 ~n:100 body);
+  ignore (Fsam_par.run_chunks ~label ~jobs:4 ~n:100 body);
   Alcotest.(check int) "cutoff engaged: one lane"
     1
     (Option.get (Fsam_obs.Metrics.find_gauge "par.cutofftest.chunks"));
@@ -215,14 +207,18 @@ let test_iset_concurrent_fixpoint_contract () =
 
 let jobs_values = [ 1; 2; 4 ]
 
+(* races are read off the SVFG, so their jobs-invariance is the pipeline's *)
+let races_at prog jobs =
+  Fsam_core.Races.detect (D.run ~config:{ D.default_config with D.jobs } prog)
+
 let check_clients_deterministic ~name prog =
   let d = D.run prog in
-  let races = Fsam_core.Races.detect ~jobs:1 d in
+  let races = Fsam_core.Races.detect d in
   let leaks = Fsam_core.Leaks.detect ~jobs:1 d in
   let dls = Fsam_core.Deadlocks.detect ~jobs:1 d in
   List.iter
     (fun jobs ->
-      if Fsam_core.Races.detect ~jobs d <> races then
+      if races_at prog jobs <> races then
         Alcotest.failf "%s: races differ at jobs=%d" name jobs;
       if Fsam_core.Leaks.detect ~jobs d <> leaks then
         Alcotest.failf "%s: leaks differ at jobs=%d" name jobs;
@@ -266,12 +262,12 @@ let prop_clients_jobs_invariant =
       let src = Fsam_workloads.Rand_minic.generate ~seed ~size:14 in
       let prog = Fsam_frontend.Lower.compile_string src in
       let d = D.run prog in
-      let races = Fsam_core.Races.detect ~jobs:1 d in
+      let races = Fsam_core.Races.detect d in
       let leaks = Fsam_core.Leaks.detect ~jobs:1 d in
       let dls = Fsam_core.Deadlocks.detect ~jobs:1 d in
       List.for_all
         (fun jobs ->
-          Fsam_core.Races.detect ~jobs d = races
+          races_at prog jobs = races
           && Fsam_core.Leaks.detect ~jobs d = leaks
           && Fsam_core.Deadlocks.detect ~jobs d = dls)
         [ 2; 4 ])
@@ -291,41 +287,31 @@ let prop_iset_concurrent_canonical =
       List.for_all (fun (u, i, d) -> u == u0 && i == i0 && d == d0) results)
 
 (* qcheck: the work-stealing scheduler must be observationally identical to
-   the chunked reference — races report and SVFG edge counts byte-identical
-   for jobs 1/2/4/8 on random MiniC. The cutoff is dropped to 8 so the
-   adaptive path really decomposes and steals even on tiny programs. *)
-let prop_adaptive_matches_chunked =
-  QCheck.Test.make ~count:8 ~name:"adaptive == chunked digests (random MiniC, jobs 1/2/4/8)"
+   the serial traversal — races report and SVFG edge counts byte-identical
+   for jobs 1/2/4/8 on random MiniC with the cutoff dropped to 8 (so the
+   fan-out really decomposes and steals even on tiny programs), against a
+   default-cutoff serial run. *)
+let prop_adaptive_matches_serial =
+  QCheck.Test.make ~count:8 ~name:"adaptive == serial digests (MiniC)"
     QCheck.(int_bound 10_000)
     (fun seed ->
       let src = Fsam_workloads.Rand_minic.generate ~seed ~size:14 in
       let prog = Fsam_frontend.Lower.compile_string src in
-      let digest strategy jobs =
-        let saved_s = Fsam_par.default_strategy () and saved_c = Fsam_par.cutoff () in
-        Fsam_par.set_default_strategy strategy;
-        Fsam_par.set_cutoff 8;
-        Fun.protect
-          ~finally:(fun () ->
-            Fsam_par.set_default_strategy saved_s;
-            Fsam_par.set_cutoff saved_c)
-          (fun () ->
-            let d = D.run ~config:{ D.default_config with D.jobs } prog in
-            let races =
-              String.concat "\n"
-                (List.map
-                   (Format.asprintf "%a" (Fsam_core.Races.pp_race d))
-                   (Fsam_core.Races.detect ~jobs d))
-            in
-            ( races,
-              Fsam_memssa.Svfg.n_edges d.D.svfg,
-              Fsam_memssa.Svfg.n_thread_aware_edges d.D.svfg ))
+      let digest jobs =
+        let d = D.run ~config:{ D.default_config with D.jobs } prog in
+        ( String.concat "\n"
+            (List.map
+               (Format.asprintf "%a" (Fsam_core.Races.pp_race d))
+               (Fsam_core.Races.detect d)),
+          Fsam_memssa.Svfg.n_edges d.D.svfg,
+          Fsam_memssa.Svfg.n_thread_aware_edges d.D.svfg )
       in
-      let reference = digest Fsam_par.Chunked 1 in
-      List.for_all
-        (fun jobs ->
-          digest Fsam_par.Chunked jobs = reference
-          && digest Fsam_par.Adaptive jobs = reference)
-        [ 1; 2; 4; 8 ])
+      let reference = digest 1 in
+      let saved = Fsam_par.cutoff () in
+      Fsam_par.set_cutoff 8;
+      Fun.protect
+        ~finally:(fun () -> Fsam_par.set_cutoff saved)
+        (fun () -> List.for_all (fun jobs -> digest jobs = reference) [ 1; 2; 4; 8 ]))
 
 let test_clients_deterministic_workload () =
   (* one real benchmark end-to-end, including the rendered report *)
@@ -335,13 +321,13 @@ let test_clients_deterministic_workload () =
   let render rs =
     String.concat "\n" (List.map (Format.asprintf "%a" (Fsam_core.Races.pp_race d)) rs)
   in
-  let r1 = render (Fsam_core.Races.detect ~jobs:1 d) in
+  let r1 = render (Fsam_core.Races.detect d) in
   List.iter
     (fun jobs ->
       Alcotest.(check string)
         (Printf.sprintf "word_count report jobs=%d" jobs)
         r1
-        (render (Fsam_core.Races.detect ~jobs d)))
+        (render (races_at prog jobs)))
     jobs_values
 
 let suite =
@@ -364,6 +350,6 @@ let suite =
     Alcotest.test_case "clients deterministic (word_count report)" `Quick
       test_clients_deterministic_workload;
     QCheck_alcotest.to_alcotest prop_clients_jobs_invariant;
-    QCheck_alcotest.to_alcotest prop_adaptive_matches_chunked;
+    QCheck_alcotest.to_alcotest prop_adaptive_matches_serial;
     QCheck_alcotest.to_alcotest prop_iset_concurrent_canonical;
   ]

@@ -65,9 +65,9 @@ let test_ring_wraparound () =
 let test_par_merge_ordering () =
   with_profiling (fun () ->
       let n = 103 and jobs = 4 in
+      (* cutoff 0: one block per item, stolen across the four lanes *)
       let sums =
-        Fsam_par.run_chunks ~label:"tmerge" ~strategy:Fsam_par.Chunked ~jobs ~n
-          (fun ~lo ~hi ->
+        Fsam_par.run_chunks ~label:"tmerge" ~cutoff:0 ~jobs ~n (fun ~lo ~hi ->
             let s = ref 0 in
             for i = lo to hi - 1 do
               Tl.emit ~kind:Tl.k_item ~a:i ~b:0;
@@ -75,20 +75,29 @@ let test_par_merge_ordering () =
             done;
             !s)
       in
-      Alcotest.(check int) "work done" (n * (n - 1) / 2) (List.fold_left ( + ) 0 sums);
+      Alcotest.(check (list int)) "block order = serial traversal" (List.init n Fun.id) sums;
       let rings =
         List.filter (fun (r : Tl.ring) -> r.Tl.region = "tmerge") (Tl.collected ())
       in
       Alcotest.(check int) "one ring per lane" jobs (List.length rings);
       Alcotest.(check (list int)) "lane order" [ 0; 1; 2; 3 ]
         (List.map (fun (r : Tl.ring) -> r.Tl.lane) rings);
-      (* chunk bounds are contiguous, in lane order, covering [0, n) *)
-      let bounds =
-        List.map
+      (* each block's item events sit between its chunk start and stop, on
+         whichever lane ran it; together the blocks cover [0, n) once *)
+      let blocks =
+        List.concat_map
           (fun r ->
-            match List.find_opt (fun (_, k, _, _) -> k = Tl.k_chunk_start) (Tl.events r) with
-            | Some (_, _, lo, hi) -> (lo, hi)
-            | None -> Alcotest.fail "missing chunk_start")
+            let rec walk acc = function
+              | (_, k, lo, hi) :: rest when k = Tl.k_chunk_start ->
+                let items = List.filteri (fun i _ -> i < hi - lo) rest in
+                Alcotest.(check (list (pair int int))) "block items"
+                  (List.init (hi - lo) (fun i -> (Tl.k_item, lo + i)))
+                  (List.map (fun (_, k, a, _) -> (k, a)) items);
+                walk ((lo, hi) :: acc) rest
+              | _ :: rest -> walk acc rest
+              | [] -> acc
+            in
+            walk [] (Tl.events r))
           rings
       in
       let last =
@@ -96,20 +105,9 @@ let test_par_merge_ordering () =
           (fun prev (lo, hi) ->
             Alcotest.(check int) "contiguous" prev lo;
             hi)
-          0 bounds
+          0 (List.sort compare blocks)
       in
       Alcotest.(check int) "covers n" n last;
-      (* every lane carries exactly its range's item events *)
-      List.iter2
-        (fun (r : Tl.ring) (lo, hi) ->
-          let items =
-            List.filter_map
-              (fun (_, k, a, _) -> if k = Tl.k_item then Some a else None)
-              (Tl.events r)
-          in
-          Alcotest.(check (list int)) "lane items" (List.init (hi - lo) (fun i -> lo + i))
-            items)
-        rings bounds;
       (* lane 0 recorded one merge event per worker, in join order *)
       let merges =
         List.filter_map
@@ -170,7 +168,7 @@ let test_item_events_identical_across_jobs () =
   let per_jobs jobs =
     let d = D.run ~config:{ D.default_config with profile = true; jobs } prog in
     let svfg_items = List.sort compare (region_items "svfg.pairs") in
-    let races = Fsam_core.Races.detect ~jobs d in
+    let races = Fsam_core.Races.detect d in
     (svfg_items, races)
   in
   let base_items, base_races = per_jobs 1 in
@@ -198,7 +196,7 @@ let test_results_identical_profiling_on_off () =
     let races =
       List.map
         (Format.asprintf "%a" (Fsam_core.Races.pp_race d))
-        (Fsam_core.Races.detect ~jobs:1 d)
+        (Fsam_core.Races.detect d)
     in
     (pts, races)
   in

@@ -241,7 +241,7 @@ let test_witness_jobs_digest () =
       D.run ~config:{ D.default_config with provenance = true; jobs }
         (spec.Fsam_workloads.Suite.build 10)
     in
-    let rs = Fsam_core.Races.detect ~jobs d in
+    let rs = Fsam_core.Races.detect d in
     let witnesses =
       List.map
         (fun r ->

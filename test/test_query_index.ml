@@ -155,13 +155,13 @@ let test_svfg_jobs_invariant_ablations () =
       let render rs =
         String.concat "\n" (List.map (Format.asprintf "%a" (Fsam_core.Races.pp_race d)) rs)
       in
-      let r1 = render (Fsam_core.Races.detect ~jobs:1 d) in
+      let r1 = render (Fsam_core.Races.detect d) in
       List.iter
         (fun jobs ->
           Alcotest.(check string)
             (Printf.sprintf "%s: race report jobs=%d" name jobs)
             r1
-            (render (Fsam_core.Races.detect ~jobs d)))
+            (render (Fsam_core.Races.detect (D.run ~config:{ config with D.jobs } prog))))
         [ 2; 4 ])
     ablations
 

@@ -58,7 +58,14 @@ let all_pt d =
 let same_driver_results a b =
   List.for_all2 Iset.equal (all_pt a) (all_pt b)
   && String.equal (Svfg.digest a.D.svfg) (Svfg.digest b.D.svfg)
-  && List.sort compare (Races.detect a) = List.sort compare (Races.detect b)
+  && Races.detect a = Races.detect b
+
+(* The resident generation's race report (read off the possibly patched
+   SVFG's pair rows) against the all-pairs scan. *)
+let check_races_oracle what eng =
+  let d = Engine.driver eng in
+  if Races.detect d <> Race_oracle.detect d then
+    Alcotest.failf "%s: race report differs from the all-pairs oracle" what
 
 (* Random programs, random edits, differential mode on: every edit that runs
    incrementally must be certified identical to the cold re-run. *)
@@ -77,6 +84,7 @@ let test_edit_differential () =
         match Engine.edit_source eng edited with
         | Error _ -> incr skipped (* mutation didn't lower; fine *)
         | Ok info -> (
+          check_races_oracle (Printf.sprintf "seed %d edit %d" seed k) eng;
           match info.Engine.e_mode with
           | `Cold -> incr cold
           | `Incremental ->
@@ -124,34 +132,46 @@ let test_edit_jobs_invariant () =
    the incremental pre-phases: a shape-preserving pointer retarget (every
    phase must reuse), a fork-target edit (must invalidate the thread model
    and MHP), and a lock-operand edit (must invalidate the lock spans but
-   keep the thread model). Every edit stays differential-certified. *)
+   keep the thread model). Every edit stays differential-certified. The
+   unlocked stores through [gp] race with main's [*q = 8] on whichever of
+   g1/g2 [q] targets, so the retarget stage moves a race between the
+   patched SVFG's pair rows. *)
 let mt_source ~target ~lock_var ~global =
   Printf.sprintf
     "int g1;\n\
      int g2;\n\
      int shared;\n\
+     int *gp;\n\
      lock_t m1;\n\
      lock_t m2;\n\
      void worker_a(int *p) {\n\
+    \  int *r;\n\
     \  lock(&m1);\n\
     \  *p = 1;\n\
     \  unlock(&m1);\n\
+    \  r = gp;\n\
+    \  *r = 4;\n\
      }\n\
      void worker_b(int *p) {\n\
+    \  int *r;\n\
     \  lock(&m2);\n\
     \  *p = 2;\n\
     \  unlock(&m2);\n\
+    \  r = gp;\n\
+    \  *r = 5;\n\
      }\n\
      int main() {\n\
     \  int *q;\n\
     \  int *s;\n\
     \  q = &%s;\n\
     \  s = &shared;\n\
+    \  gp = q;\n\
     \  *q = 7;\n\
     \  fork(null, %s, s);\n\
     \  lock(&%s);\n\
     \  *s = 3;\n\
     \  unlock(&%s);\n\
+    \  *q = 8;\n\
     \  return 0;\n\
      }\n"
     global target lock_var lock_var
@@ -185,6 +205,8 @@ let test_edit_sequence_phases () =
       Alcotest.(check (option bool))
         (stage ^ ": certified identical to cold")
         (Some true) info.Engine.e_identical;
+      check_races_oracle stage eng;
+      if Races.detect (Engine.driver eng) = [] then Alcotest.failf "%s: no races" stage;
       (stage, info)
   in
   (match apply (List.nth mt_stages 0) with

@@ -133,9 +133,9 @@ let test_synth_compiles_and_analyzes () =
   Alcotest.(check bool) "synth has lock spans" true
     (Fsam_mta.Locks.n_spans d.D.locks > 0);
   (* the synthesized races are deterministic: a second full run agrees *)
-  let races1 = Fsam_core.Races.detect ~jobs:1 d in
+  let races1 = Fsam_core.Races.detect d in
   let d2 = D.run (Fsam_frontend.Lower.compile_string (Synth.generate synth_tiny)) in
-  let races2 = Fsam_core.Races.detect ~jobs:1 d2 in
+  let races2 = Fsam_core.Races.detect d2 in
   Alcotest.(check bool) "race report stable" true (races1 = races2)
 
 let test_scaling_monotone () =
