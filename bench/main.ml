@@ -22,6 +22,7 @@ module D = Fsam_core.Driver
 module W = Fsam_workloads.Suite
 module Measure' = Fsam_core.Measure
 module J = Fsam_obs.Json
+module Prog = Fsam_ir.Prog
 
 let budget = ref 120.
 let quick = ref false
@@ -248,33 +249,6 @@ let figure12 () =
        ])
 
 (* ------------------------------------------------------------------------- *)
-(* Result identity between two solver runs (par / prov guards).              *)
-(* ------------------------------------------------------------------------- *)
-
-module S = Fsam_core.Sparse
-module Prog = Fsam_ir.Prog
-
-(* Byte-identical results: every top-level set and every (node, obj) memory
-   fact must coincide. Both runs share the hash-cons table, so [Iset.equal]
-   is exact pointer comparison here. *)
-let results_identical (a : D.t) (b : D.t) =
-  let ok = ref true in
-  for v = 0 to Prog.n_vars a.D.prog - 1 do
-    if not (Fsam_dsa.Iset.equal (S.pt_top a.D.sparse v) (S.pt_top b.D.sparse v)) then
-      ok := false
-  done;
-  let tbl = Hashtbl.create 4096 in
-  S.iter_pto a.D.sparse (fun ~node ~obj s -> Hashtbl.replace tbl (node, obj) s);
-  let n_b = ref 0 in
-  S.iter_pto b.D.sparse (fun ~node ~obj s ->
-      incr n_b;
-      match Hashtbl.find_opt tbl (node, obj) with
-      | Some s' when Fsam_dsa.Iset.equal s s' -> ()
-      | _ -> ok := false);
-  if Hashtbl.length tbl <> !n_b then ok := false;
-  !ok
-
-(* ------------------------------------------------------------------------- *)
 (* Domain-parallel clients — serial vs N-domain post-solve detection.         *)
 (* ------------------------------------------------------------------------- *)
 
@@ -480,7 +454,8 @@ module A = Fsam_andersen.Solver
 (* Replay the [THREAD-VF] query stream — every (object, store, access) pair
    with a common points-to target, statement-level MHP memoised on the
    canonical key exactly as the builder memoises it — against the indexed
-   and the naive query layers, counting the primitive probes each performs.
+   query layer and the naive scans of [Oracle.Naive], counting the
+   primitive probes each performs.
    The replay covers the full pair space (no escape filter), so it is a
    superset of what the filtered build issues; both sides see the identical
    stream. *)
@@ -506,6 +481,7 @@ let query_replay (d : D.t) =
   let run_side indexed =
     let stats = Mta.Mhp.fresh_stats () in
     let cache = Mta.Locks.make_cache () in
+    let probes = ref 0 in
     let memo = Hashtbl.create 1024 in
     let t0 = Unix.gettimeofday () in
     List.iter
@@ -521,7 +497,7 @@ let query_replay (d : D.t) =
                   | None ->
                     let b =
                       if indexed then Mta.Mhp.mhp_stmt ~stats mhp s s'
-                      else Mta.Mhp.mhp_stmt_naive ~stats mhp s s'
+                      else Oracle.Naive.mhp_stmt ~probes mhp s s'
                     in
                     Hashtbl.replace memo key b;
                     b
@@ -529,13 +505,13 @@ let query_replay (d : D.t) =
                 if hit then
                   let pairs =
                     if indexed then Mta.Mhp.mhp_pairs_inst ~stats mhp s s'
-                    else Mta.Mhp.mhp_pairs_inst_naive ~stats mhp s s'
+                    else Oracle.Naive.mhp_pairs_inst ~probes mhp s s'
                   in
                   List.iter
                     (fun (i, j) ->
                       ignore
                         (if indexed then Mta.Locks.common_lock ~cache lk i j
-                         else Mta.Locks.common_lock_naive ~stats:cache lk i j))
+                         else Oracle.Naive.common_lock ~probes lk i j))
                     pairs)
               (Option.value ~default:[] (Hashtbl.find_opt accesses_of o)))
           (Option.value ~default:[] (Hashtbl.find_opt stores_of o)))
@@ -545,7 +521,7 @@ let query_replay (d : D.t) =
       if indexed then
         stats.Mta.Mhp.thread_checks + stats.Mta.Mhp.inst_checks
         + Mta.Locks.cache_span_checks cache + Mta.Locks.cache_queries cache
-      else stats.Mta.Mhp.inst_checks + Mta.Locks.cache_naive_checks cache
+      else !probes
     in
     (checks, wall)
   in
@@ -589,12 +565,10 @@ let vf () =
           "mhp.summary_pair_queries";
           "mhp.summary_thread_checks";
           "mhp.summary_inst_checks";
-          "mhp.summary_naive_checks";
           "locks.queries";
           "locks.bitset_hits";
           "locks.pair_memo_hits";
           "locks.span_pair_checks";
-          "locks.naive_span_checks";
         ]
       in
       let run jobs =
@@ -617,7 +591,7 @@ let vf () =
       let identical =
         List.for_all
           (fun (_, (dj, countersj, racesj)) ->
-            results_identical d1 dj
+            Fsam_serve.Engine.same_results d1 dj
             && Fsam_memssa.Svfg.n_edges d1.D.svfg = Fsam_memssa.Svfg.n_edges dj.D.svfg
             && Fsam_memssa.Svfg.n_thread_aware_edges d1.D.svfg
                = Fsam_memssa.Svfg.n_thread_aware_edges dj.D.svfg
@@ -740,7 +714,7 @@ let prov_bench () =
   in
   let w_off = best false in
   let w_on = best true in
-  let identical = results_identical d_off d_on in
+  let identical = Fsam_serve.Engine.same_results d_off d_on in
   let overhead_pct = 100. *. ((w_on -. w_off) /. Float.max 1e-9 w_off) in
   Printf.printf
     "Provenance guard (%s, scale %d):\n\

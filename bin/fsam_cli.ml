@@ -116,53 +116,71 @@ let analyze source config_name engine dump_pts json trace jobs
   with_program
     (fun prog ->
       arm_crash_flush ~json ~trace;
-      match engine with
-      | "andersen" ->
-        let m = Fsam_core.Measure.run (fun () -> Fsam_andersen.Solver.run prog) in
-        Format.printf "%a@." Fsam_andersen.Solver.pp_stats m.Fsam_core.Measure.value;
-        Format.printf "time: %.3fs (%.3fs cpu), live heap: %.1f MB@."
-          m.Fsam_core.Measure.wall_seconds m.Fsam_core.Measure.cpu_seconds
-          m.Fsam_core.Measure.live_mb;
+      (* the tail every engine shares: measure the run, let [show] print its
+         summary (and say whether it finished, i.e. has a time line), then
+         export the telemetry document *)
+      let measured ?report ~engine run show =
+        let m = Fsam_core.Measure.run run in
+        let v = m.Fsam_core.Measure.value in
+        if show v then
+          Format.printf "time: %.3fs (%.3fs cpu), live heap: %.1f MB@."
+            m.Fsam_core.Measure.wall_seconds m.Fsam_core.Measure.cpu_seconds
+            m.Fsam_core.Measure.live_mb;
         export ~json ~trace (fun () ->
-            T.analysis_json ~program:source ~engine:"andersen" ~config:config_name
+            T.analysis_json ~program:source ~engine ~config:config_name
               ~wall_seconds:m.Fsam_core.Measure.wall_seconds
               ~cpu_seconds:m.Fsam_core.Measure.cpu_seconds
-              ~live_mb:m.Fsam_core.Measure.live_mb ());
+              ~live_mb:m.Fsam_core.Measure.live_mb
+              ?report:(Option.map (fun f -> f v) report)
+              ());
+        v
+      in
+      let dump pt =
         if dump_pts then
           for v = 0 to Prog.n_vars prog - 1 do
-            let pts = Fsam_andersen.Solver.pt_var m.Fsam_core.Measure.value v in
-            if not (Fsam_dsa.Iset.is_empty pts) then
+            match pt v with
+            | [] -> ()
+            | names ->
               Format.printf "pt(%s) = {%s}@." (Prog.var_name prog v)
-                (String.concat ", "
-                   (List.map (Prog.obj_name prog) (Fsam_dsa.Iset.elements pts)))
+                (String.concat ", " names)
           done
+      in
+      match engine with
+      | "andersen" ->
+        let a =
+          measured ~engine:"andersen"
+            (fun () -> Fsam_andersen.Solver.run prog)
+            (fun a ->
+              Format.printf "%a@." Fsam_andersen.Solver.pp_stats a;
+              true)
+        in
+        dump (fun v ->
+            List.map (Prog.obj_name prog)
+              (Fsam_dsa.Iset.elements (Fsam_andersen.Solver.pt_var a v)))
       | "nonsparse" ->
         let config =
           match nonsparse_budget with
           | Some b -> { D.default_config with nonsparse_budget = b }
           | None -> D.default_config
         in
-        let m = Fsam_core.Measure.run (fun () -> D.run_nonsparse ~config prog) in
-        (match fst m.Fsam_core.Measure.value with
-        | Fsam_core.Nonsparse.Done ns ->
-          Format.printf "%a@." Fsam_core.Nonsparse.pp_stats ns;
-          Format.printf "time: %.3fs (%.3fs cpu), live heap: %.1f MB@."
-            m.Fsam_core.Measure.wall_seconds m.Fsam_core.Measure.cpu_seconds
-            m.Fsam_core.Measure.live_mb
-        | Fsam_core.Nonsparse.Timeout budget ->
-          Format.printf "nonsparse: OOT (budget %.0fs exceeded)@." budget;
-          Printf.eprintf
-            "nonsparse: analysis ran OUT OF TIME after %.0f s of CPU time and \
-             produced no points-to results.\n\
-             Raise the limit with --nonsparse-budget SECONDS, shrink the \
-             program, or use --engine fsam (the sparse analysis, usually \
-             orders of magnitude faster).\n"
-            budget);
-        export ~json ~trace (fun () ->
-            T.analysis_json ~program:source ~engine:"nonsparse" ~config:config_name
-              ~wall_seconds:m.Fsam_core.Measure.wall_seconds
-              ~cpu_seconds:m.Fsam_core.Measure.cpu_seconds
-              ~live_mb:m.Fsam_core.Measure.live_mb ())
+        ignore
+          (measured ~engine:"nonsparse"
+             (fun () -> D.run_nonsparse ~config prog)
+             (fun (outcome, _) ->
+               match outcome with
+               | Fsam_core.Nonsparse.Done ns ->
+                 Format.printf "%a@." Fsam_core.Nonsparse.pp_stats ns;
+                 true
+               | Fsam_core.Nonsparse.Timeout budget ->
+                 Format.printf "nonsparse: OOT (budget %.0fs exceeded)@." budget;
+                 Printf.eprintf
+                   "nonsparse: analysis ran OUT OF TIME after %.0f s of CPU time and \
+                    produced no points-to results.\n\
+                    Raise the limit with --nonsparse-budget SECONDS, shrink the \
+                    program, or use --engine fsam (the sparse analysis, usually \
+                    orders of magnitude faster).\n"
+                   budget;
+                 false))
       | "fsam" -> (
         match config_of_string config_name with
         | Error e ->
@@ -179,25 +197,14 @@ let analyze source config_name engine dump_pts json trace jobs
                 Option.value ~default:config.D.nonsparse_budget nonsparse_budget;
             }
           in
-          let m = Fsam_core.Measure.run (fun () -> D.run ~config prog) in
-          let d = m.Fsam_core.Measure.value in
-          Format.printf "%a@." D.pp_summary d;
-          Format.printf "time: %.3fs (%.3fs cpu), live heap: %.1f MB@."
-            m.Fsam_core.Measure.wall_seconds m.Fsam_core.Measure.cpu_seconds
-            m.Fsam_core.Measure.live_mb;
-          export ~json ~trace (fun () ->
-              T.analysis_json ~program:source ~engine:"fsam" ~config:config_name
-                ~wall_seconds:m.Fsam_core.Measure.wall_seconds
-                ~cpu_seconds:m.Fsam_core.Measure.cpu_seconds
-                ~live_mb:m.Fsam_core.Measure.live_mb
-                ~report:(Fsam_core.Report.build d) ());
-          if dump_pts then
-            for v = 0 to Prog.n_vars prog - 1 do
-              let names = D.pt_names d v in
-              if names <> [] then
-                Format.printf "pt(%s) = {%s}@." (Prog.var_name prog v)
-                  (String.concat ", " names)
-            done)
+          let d =
+            measured ~engine:"fsam" ~report:Fsam_core.Report.build
+              (fun () -> D.run ~config prog)
+              (fun d ->
+                Format.printf "%a@." D.pp_summary d;
+                true)
+          in
+          dump (D.pt_names d))
       | e ->
         Printf.eprintf "error: unknown engine %S (fsam, nonsparse, andersen)\n" e;
         exit 1)
@@ -255,20 +262,12 @@ let races_cmd =
 module E = Fsam_core.Explain
 module J = Fsam_obs.Json
 
-(* Accept a numeric id or a source-level name for vars and objects. *)
-let resolve ~what n name_of s =
-  match int_of_string_opt s with
-  | Some i when i >= 0 && i < n -> i
-  | _ ->
-    let rec scan i =
-      if i >= n then begin
-        Printf.eprintf "error: unknown %s %S\n" what s;
-        exit 1
-      end
-      else if String.equal (name_of i) s then i
-      else scan (i + 1)
-    in
-    scan 0
+let lookup prog kind what s =
+  match Prog.lookup prog kind s with
+  | Some i -> i
+  | None ->
+    Printf.eprintf "error: unknown %s %S\n" what s;
+    exit 1
 
 let split_args ~what ~n s =
   let parts = String.split_on_char ',' (String.trim s) in
@@ -300,8 +299,7 @@ let explain source why_pt why_andersen why_mhp why_edge why_race json max_depth 
       let d = D.run ~config:{ D.default_config with jobs; provenance = true } prog in
       let queries = ref [] in
       let record q j = queries := J.Obj [ ("query", J.String q); ("result", j) ] :: !queries in
-      let var_of = resolve ~what:"variable" (Prog.n_vars prog) (Prog.var_name prog) in
-      let obj_of = resolve ~what:"object" (Prog.n_objs prog) (Prog.obj_name prog) in
+      let var_of = lookup prog `Var "variable" and obj_of = lookup prog `Obj "object" in
       (match why_pt with
       | None -> ()
       | Some s ->
@@ -841,7 +839,7 @@ let serve program jobs differential provenance batch socket crash_telemetry slow
   Fun.protect
     ~finally:(fun () ->
       (match scraper with
-      | Some s -> Fsam_serve.Protocol.stop_stats_socket s
+      | Some s -> Fsam_serve.Protocol.close_stats_socket s
       | None -> ());
       Fsam_serve.Stats.close stats)
     (fun () ->

@@ -53,6 +53,26 @@ let obj p o = Vec.get p.objs o
 let obj_name p o = (obj p o).Memobj.name
 let iter_objs p f = Vec.iter f p.objs
 
+(* Lowering leaves each variable's pre-SSA entry ("q") dead in the table
+   next to its live SSA versions ("q#7"), so a name with SSA versions
+   resolves to the highest-numbered one — the final version. Any other name
+   (a parameter, a Builder-made variable, a full "q#7") matches exactly,
+   lowest id first; objects likewise. *)
+let lookup p kind s =
+  let n, name = match kind with `Var -> (n_vars p, var_name p) | `Obj -> (n_objs p, obj_name p) in
+  let rec scan i step hit =
+    if i < 0 || i >= n then None else if hit i then Some i else scan (i + step) step hit
+  in
+  let exact () = scan 0 1 (fun i -> String.equal (name i) s) in
+  match (int_of_string_opt s, kind) with
+  | Some i, _ -> if i >= 0 && i < n then Some i else None
+  | None, `Var -> (
+    let version = s ^ "#" in
+    match scan (n - 1) (-1) (fun v -> String.starts_with ~prefix:version (name v)) with
+    | None -> exact ()
+    | found -> found)
+  | None, `Obj -> exact ()
+
 let field_obj p ~base ~field =
   let b = obj p base in
   if b.Memobj.is_array then base

@@ -29,6 +29,12 @@ val obj : t -> Stmt.obj -> Memobj.t
 val obj_name : t -> Stmt.obj -> string
 val iter_objs : t -> (Memobj.t -> unit) -> unit
 
+val lookup : t -> [ `Var | `Obj ] -> string -> int option
+(** Resolve a numeric id or a source-level name. A variable name with SSA
+    versions resolves to the final one (["c"] finds ["c#18"], not the dead
+    pre-SSA ["c"]); any other name to the first variable or object so
+    named. [None] for an unknown name or an out-of-range id. *)
+
 val field_obj : t -> base:Stmt.obj -> field:string -> Stmt.obj
 (** The field object for [(base, field)], created on first request. Fields of
     field objects are flattened onto the root base. Array objects are

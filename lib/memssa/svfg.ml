@@ -11,15 +11,9 @@ type node =
   | Formal_out of int * int
   | Call_chi of int * int
 
-type config = {
-  thread_aware : bool;
-  use_interleaving : bool;
-  use_value_flow : bool;
-  use_lock : bool;
-}
+type config = { use_interleaving : bool; use_value_flow : bool; use_lock : bool }
 
-let default_config =
-  { thread_aware = true; use_interleaving = true; use_value_flow = true; use_lock = true }
+let default_config = { use_interleaving = true; use_value_flow = true; use_lock = true }
 
 (* Provenance edge kinds (recorded only when a recorder is attached). *)
 let k_oblivious = 0
@@ -53,10 +47,9 @@ type t = {
   (* persistent per-(object, gid) index of the thread-oblivious stmt-to-stmt
      def-use snapshot, in tombstoned arena rows so the patcher can splice it
      in place. pred rows are keyed (o, head gid) holding tail gids; succ
-     rows keyed (o, tail gid) holding head gids. Built only when the
-     thread-aware stage runs. *)
-  mutable obl_pred : Arena.Dyn.t option;
-  mutable obl_succ : Arena.Dyn.t option;
+     rows keyed (o, tail gid) holding head gids. *)
+  obl_pred : Arena.Dyn.t;
+  obl_succ : Arena.Dyn.t;
 }
 
 let n_nodes t = Vec.length t.nodes
@@ -372,19 +365,15 @@ type chunk_res = {
    rows by the def (o, def gid) holding use gids. *)
 let build_obl_index t =
   let stride = Prog.n_stmts t.prog in
-  let pred = Arena.Dyn.create ~capacity:4096 () in
-  let succ = Arena.Dyn.create ~capacity:4096 () in
   let gid_of i = match Vec.get t.nodes i with Stmt_node g -> g | _ -> -1 in
   Hashtbl.iter
     (fun (src, o, dst) () ->
       let gs = gid_of src and gd = gid_of dst in
       if gs >= 0 && gd >= 0 then begin
-        Arena.Dyn.add pred ~key:((o * stride) + gd) gs;
-        Arena.Dyn.add succ ~key:((o * stride) + gs) gd
+        Arena.Dyn.add t.obl_pred ~key:((o * stride) + gd) gs;
+        Arena.Dyn.add t.obl_succ ~key:((o * stride) + gs) gd
       end)
-    t.edge_set;
-  t.obl_pred <- Some pred;
-  t.obl_succ <- Some succ
+    t.edge_set
 
 (* [THREAD-VF] pair discovery and application, restricted to the objects
    accepted by [obj_filter] — the full sorted store-object list on a cold
@@ -425,7 +414,6 @@ let discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter =
   (* the persistent snapshot index (see [build_obl_index]); read-only for
      the duration of the fan-out, so the chunk domains share it directly *)
   let obl_stride = Prog.n_stmts prog in
-  let obl_pred = Option.get t.obl_pred and obl_succ = Option.get t.obl_succ in
   let objs =
     Array.of_list
       (List.sort compare
@@ -501,8 +489,8 @@ let discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter =
         let hd = Hashtbl.create 8 and tl = Hashtbl.create 8 in
         List.iter
           (fun (iid, g, is_store, _) ->
-            if not (blocked obl_pred acc_cnt g) then Hashtbl.replace hd iid ();
-            if is_store && not (blocked obl_succ st_cnt g) then Hashtbl.replace tl iid ())
+            if not (blocked t.obl_pred acc_cnt g) then Hashtbl.replace hd iid ();
+            if is_store && not (blocked t.obl_succ st_cnt g) then Hashtbl.replace tl iid ())
           accs;
         let si = { hd; tl } in
         Hashtbl.replace span_cache (sid, o) si;
@@ -725,19 +713,13 @@ let discover_objects t config ~jobs ast tm mhp lk pcg ~obj_filter =
   Obs.Metrics.(
     add (counter "mhp.summary_inst_checks") (sum (fun r -> r.mhp_stats.Mta.Mhp.inst_checks)));
   Obs.Metrics.(
-    add (counter "mhp.summary_naive_checks") (sum (fun r -> r.mhp_stats.Mta.Mhp.naive_checks)));
-  Obs.Metrics.(
     add (counter "locks.queries") (sum (fun r -> Mta.Locks.cache_queries r.lk_cache)));
   Obs.Metrics.(
     add (counter "locks.bitset_hits") (sum (fun r -> Mta.Locks.cache_bitset_hits r.lk_cache)));
   Obs.Metrics.(
     add (counter "locks.pair_memo_hits") (sum (fun r -> Mta.Locks.cache_memo_hits r.lk_cache)));
   Obs.Metrics.(
-    add (counter "locks.span_pair_checks") (sum (fun r -> Mta.Locks.cache_span_checks r.lk_cache)));
-  Obs.Metrics.(
-    add
-      (counter "locks.naive_span_checks")
-      (sum (fun r -> Mta.Locks.cache_naive_checks r.lk_cache)))
+    add (counter "locks.span_pair_checks") (sum (fun r -> Mta.Locks.cache_span_checks r.lk_cache)))
 
 let build_thread_aware t config ~jobs ast tm mhp lk pcg =
   build_obl_index t;
@@ -762,8 +744,8 @@ let build ?(config = default_config) ?(jobs = 1) ?prov prog ast mr icfg tm mhp l
       cur_owner = -1;
       log_adds = false;
       add_log = [];
-      obl_pred = None;
-      obl_succ = None;
+      obl_pred = Arena.Dyn.create ~capacity:4096 ();
+      obl_succ = Arena.Dyn.create ~capacity:4096 ();
     }
   in
   (* mu/chi annotation material (what each join makes visible) *)
@@ -771,9 +753,8 @@ let build ?(config = default_config) ?(jobs = 1) ?prov prog ast mr icfg tm mhp l
   (* thread-oblivious def-use edge derivation (memory-SSA reaching defs) *)
   Obs.Span.with_ ~name:"svfg.oblivious" (fun () -> build_oblivious t ast mr icfg join_info);
   (* [THREAD-VF] edges, filtered by the lock analysis *)
-  if config.thread_aware then
-    Obs.Span.with_ ~name:"svfg.thread_aware" (fun () ->
-        build_thread_aware t config ~jobs ast tm mhp lk pcg);
+  Obs.Span.with_ ~name:"svfg.thread_aware" (fun () ->
+      build_thread_aware t config ~jobs ast tm mhp lk pcg);
   Obs.Metrics.(set (gauge "svfg.nodes") (n_nodes t));
   Obs.Metrics.(set (gauge "svfg.edges") (n_edges t));
   Obs.Metrics.(set (gauge "svfg.thread_aware_edges") t.thread_edges);
@@ -807,13 +788,10 @@ let node_key t i =
    interns) digests equal to a cold rebuild iff they denote the same graph.
    This is the identity the jobs-invariance tests and the serve
    differential mode both check. *)
-(* (live cells, tombstoned cells) over the pred/succ index arenas; (0, 0)
-   before [index_edges] materializes them. Observability only. *)
+(* (live cells, tombstoned cells) over the pred/succ index arenas.
+   Observability only. *)
 let arena_occupancy t =
-  let occ = function
-    | Some a -> (Arena.Dyn.live a, Arena.Dyn.tombstones a)
-    | None -> (0, 0)
-  in
+  let occ a = (Arena.Dyn.live a, Arena.Dyn.tombstones a) in
   let pl, pt = occ t.obl_pred and sl, st = occ t.obl_succ in
   (pl + sl, pt + st)
 
@@ -885,10 +863,9 @@ let digest t =
    gids identical across generations (same functions, same per-function
    statement counts), identical object tables, the thread model / MHP /
    lock analysis reused from the previous generation (which itself implies
-   unchanged call, fork and join resolution), provenance off, and a
-   previous graph built with the thread-aware stage on. Violations the
-   patcher can detect cheaply return [Error reason] and the engine falls
-   back to a cold rebuild, counting the reason. *)
+   unchanged call, fork and join resolution) and provenance off. Violations
+   the patcher can detect cheaply return [Error reason] and the engine
+   falls back to a cold rebuild, counting the reason. *)
 (* ------------------------------------------------------------------------ *)
 
 type patch_stats = {
@@ -918,8 +895,8 @@ let clone t =
     cur_owner = -1;
     log_adds = false;
     add_log = [];
-    obl_pred = Option.map Arena.Dyn.copy t.obl_pred;
-    obl_succ = Option.map Arena.Dyn.copy t.obl_succ;
+    obl_pred = Arena.Dyn.copy t.obl_pred;
+    obl_succ = Arena.Dyn.copy t.obl_succ;
   }
 
 let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~tm
@@ -935,7 +912,6 @@ let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr
     !ok
   in
   if old.record_prov <> None then Error "svfg_provenance"
-  else if (not config.thread_aware) || old.obl_pred = None then Error "svfg_no_index"
   else if not shape_ok then Error "svfg_shape"
   else if Hashtbl.length old.owners <> n_edges old - Hashtbl.length old.tvf then
     Error "svfg_untracked"
@@ -1047,8 +1023,7 @@ let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr
         t.edge_set
     done;
     (* -- step 2: retract and recompute the dirty oblivious regions ------- *)
-    let obl_pred = Option.get t.obl_pred and obl_succ = Option.get t.obl_succ in
-    let stride = Prog.n_stmts prog in
+      let stride = Prog.n_stmts prog in
     let gid_of i = match Vec.get t.nodes i with Stmt_node g -> g | _ -> -1 in
     let obl_removed : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
     let obl_added : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -1067,8 +1042,8 @@ let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr
       Hashtbl.replace touched dst ();
       let gs = gid_of src and gd = gid_of dst in
       if gs >= 0 && gd >= 0 then begin
-        ignore (Arena.Dyn.remove obl_pred ~key:((o * stride) + gd) gs);
-        ignore (Arena.Dyn.remove obl_succ ~key:((o * stride) + gs) gd);
+        ignore (Arena.Dyn.remove t.obl_pred ~key:((o * stride) + gd) gs);
+        ignore (Arena.Dyn.remove t.obl_succ ~key:((o * stride) + gs) gd);
         log_pair obl_removed o (gs, gd)
       end
     in
@@ -1097,8 +1072,8 @@ let patch old ?(config = default_config) ?(jobs = 1) ~prog ~old_ast ~ast ~old_mr
       (fun (src, o, dst) ->
         let gs = gid_of src and gd = gid_of dst in
         if gs >= 0 && gd >= 0 then begin
-          Arena.Dyn.add obl_pred ~key:((o * stride) + gd) gs;
-          Arena.Dyn.add obl_succ ~key:((o * stride) + gs) gd;
+          Arena.Dyn.add t.obl_pred ~key:((o * stride) + gd) gs;
+          Arena.Dyn.add t.obl_succ ~key:((o * stride) + gs) gd;
           log_pair obl_added o (gs, gd)
         end)
       t.add_log;

@@ -34,7 +34,6 @@ type node =
   | Call_chi of int * int  (** (callsite gid, obj): weak def at a call/fork *)
 
 type config = {
-  thread_aware : bool;  (** add [THREAD-VF] edges at all *)
   use_interleaving : bool;  (** false = the paper's No-Interleaving (PCG) *)
   use_value_flow : bool;  (** false = the paper's No-Value-Flow *)
   use_lock : bool;  (** false = the paper's No-Lock *)
@@ -85,8 +84,7 @@ val prog : t -> Prog.t
 
 val arena_occupancy : t -> int * int
 (** [(live, tombstones)] cell counts summed over the arena-backed pred/succ
-    edge indexes; [(0, 0)] before they are materialized. Observability
-    only. *)
+    edge indexes. Observability only. *)
 
 val digest : t -> string
 (** Hex digest of the graph's canonical structural fingerprint (edge

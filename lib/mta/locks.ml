@@ -18,7 +18,6 @@ type cache = {
   mutable c_bitset_hits : int; (* answered [] by the bitset test alone *)
   mutable c_memo_hits : int;
   mutable c_span_checks : int; (* span-pair comparisons on memo misses *)
-  mutable c_naive_checks : int; (* span-pair comparisons a naive scan performs *)
 }
 
 let make_cache () =
@@ -28,14 +27,12 @@ let make_cache () =
     c_bitset_hits = 0;
     c_memo_hits = 0;
     c_span_checks = 0;
-    c_naive_checks = 0;
   }
 
 let cache_queries c = c.c_queries
 let cache_bitset_hits c = c.c_bitset_hits
 let cache_memo_hits c = c.c_memo_hits
 let cache_span_checks c = c.c_span_checks
-let cache_naive_checks c = c.c_naive_checks
 
 (* A lock pointer must-aliases a unique runtime lock when its points-to set
    is a singleton whose object represents one location: not a heap object,
@@ -149,21 +146,11 @@ let common_lock_pairs t i j =
         (spans_of_inst t j))
     (spans_of_inst t i)
 
-let common_lock_naive ?stats t i j =
-  (match stats with
-  | Some c ->
-    c.c_naive_checks <-
-      c.c_naive_checks + (List.length t.of_inst.(i) * List.length t.of_inst.(j))
-  | None -> ());
-  common_lock_pairs t i j
-
 let common_lock ?cache t i j =
   match cache with
   | None -> if commonly_protected t i j then common_lock_pairs t i j else []
   | Some c -> (
     c.c_queries <- c.c_queries + 1;
-    c.c_naive_checks <-
-      c.c_naive_checks + (List.length t.of_inst.(i) * List.length t.of_inst.(j));
     if not (commonly_protected t i j) then begin
       c.c_bitset_hits <- c.c_bitset_hits + 1;
       []

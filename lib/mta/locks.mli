@@ -25,7 +25,6 @@ val cache_queries : cache -> int
 val cache_bitset_hits : cache -> int
 val cache_memo_hits : cache -> int
 val cache_span_checks : cache -> int
-val cache_naive_checks : cache -> int
 
 val compute : Fsam_ir.Prog.t -> Fsam_andersen.Solver.t -> Threads.t -> t
 (** Besides the spans, [compute] compacts the runtime lock objects into
@@ -59,7 +58,3 @@ val common_lock : ?cache:cache -> t -> int -> int -> (int * int) list
     Definition 6). Empty when the two are not commonly protected. The
     bitset test short-circuits the empty answer; with [cache], non-empty
     answers are memoised per instance pair and work is tallied. *)
-
-val common_lock_naive : ?stats:cache -> t -> int -> int -> (int * int) list
-(** Reference implementation scanning all span pairs of the two instances;
-    [stats] tallies the comparisons. For differential tests and baselines. *)

@@ -13,11 +13,9 @@ type summary = {
   sm_own : Iset.t; (* threads executing some instance of the gid *)
   sm_own_multi : Iset.t; (* the multi-forked subset of [sm_own] *)
   sm_groups : group list;
-  sm_size : int; (* total instance count of the gid *)
 }
 
-let empty_summary =
-  { sm_own = Iset.empty; sm_own_multi = Iset.empty; sm_groups = []; sm_size = 0 }
+let empty_summary = { sm_own = Iset.empty; sm_own_multi = Iset.empty; sm_groups = [] }
 
 type t = {
   tm : Threads.t;
@@ -31,11 +29,9 @@ type stats = {
   mutable pair_queries : int;
   mutable thread_checks : int; (* indexed layer: per-group / per-thread probes *)
   mutable inst_checks : int; (* indexed layer: per-instance fact probes *)
-  mutable naive_checks : int; (* instance-pair probes a naive scan performs *)
 }
 
-let fresh_stats () =
-  { stmt_queries = 0; pair_queries = 0; thread_checks = 0; inst_checks = 0; naive_checks = 0 }
+let fresh_stats () = { stmt_queries = 0; pair_queries = 0; thread_checks = 0; inst_checks = 0 }
 
 let interference t i = t.facts.(i)
 let threads t = t.tm
@@ -67,7 +63,7 @@ let build_summaries tm facts =
       let own = List.fold_left (fun s g -> Iset.add g.g_tid s) Iset.empty groups in
       let own_multi = Iset.filter (fun tid -> Threads.is_multi tm tid) own in
       Hashtbl.replace tbl gid
-        { sm_own = own; sm_own_multi = own_multi; sm_groups = groups; sm_size = List.length insts }
+        { sm_own = own; sm_own_multi = own_multi; sm_groups = groups }
     end
   done;
   (* counts the summaries actually (re)computed: the serve warm path reuses
@@ -198,16 +194,14 @@ let summary t gid = Option.value ~default:empty_summary (Hashtbl.find_opt t.summ
 let group_of sm tid = List.find_opt (fun g -> g.g_tid = tid) sm.sm_groups
 
 let count st f n = match st with Some s -> f s n | None -> ()
+let bump_stmt s n = s.stmt_queries <- s.stmt_queries + n
+let bump_pair s n = s.pair_queries <- s.pair_queries + n
 let bump_thread s n = s.thread_checks <- s.thread_checks + n
 let bump_inst s n = s.inst_checks <- s.inst_checks + n
 
 let mhp_stmt ?stats t g1 g2 =
   let s1 = summary t g1 and s2 = summary t g2 in
-  count stats
-    (fun s n ->
-      s.stmt_queries <- s.stmt_queries + 1;
-      s.naive_checks <- s.naive_checks + n)
-    (s1.sm_size * s2.sm_size);
+  count stats bump_stmt 1;
   (* a multi-forked thread appearing on both sides interleaves with itself *)
   (not (Iset.disjoint s1.sm_own_multi s2.sm_own))
   || List.exists
@@ -230,11 +224,7 @@ let mhp_stmt ?stats t g1 g2 =
 
 let mhp_pairs_inst ?stats t g1 g2 =
   let s1 = summary t g1 and s2 = summary t g2 in
-  count stats
-    (fun s n ->
-      s.pair_queries <- s.pair_queries + 1;
-      s.naive_checks <- s.naive_checks + n)
-    (s1.sm_size * s2.sm_size);
+  count stats bump_pair 1;
   let acc = ref [] in
   List.iter
     (fun g ->
@@ -273,30 +263,6 @@ let mhp_pairs_inst ?stats t g1 g2 =
         (Iset.inter s2.sm_own g.g_facts))
     s1.sm_groups;
   List.rev !acc
-
-(* -- Naive references (differential tests, bench baselines) --------------- *)
-
-let mhp_pairs_inst_naive ?stats t g1 g2 =
-  let is1 = Threads.insts_of_gid t.tm g1 and is2 = Threads.insts_of_gid t.tm g2 in
-  List.concat_map
-    (fun i ->
-      List.filter_map
-        (fun j ->
-          count stats bump_inst 1;
-          if mhp_inst t i j then Some (i, j) else None)
-        is2)
-    is1
-
-let mhp_stmt_naive ?stats t g1 g2 =
-  let is1 = Threads.insts_of_gid t.tm g1 and is2 = Threads.insts_of_gid t.tm g2 in
-  List.exists
-    (fun i ->
-      List.exists
-        (fun j ->
-          count stats bump_inst 1;
-          mhp_inst t i j)
-        is2)
-    is1
 
 (* First instance pair witnessing that two statements may happen in
    parallel, in the deterministic [mhp_pairs_inst] order. *)

@@ -33,9 +33,6 @@ type stats = {
   mutable thread_checks : int;
       (** per-group/per-thread probes performed by the indexed layer *)
   mutable inst_checks : int;  (** per-instance fact probes actually performed *)
-  mutable naive_checks : int;
-      (** instance-pair probes a full naive scan of the same queries would
-          perform ([|insts g1| × |insts g2|] per query) *)
 }
 (** Work tallies for the query layer. Plain mutable records so parallel
     callers can count into a chunk-local instance and merge after the join
@@ -61,15 +58,8 @@ val mhp_stmt : ?stats:stats -> t -> int -> int -> bool
 val mhp_pairs_inst : ?stats:stats -> t -> int -> int -> (int * int) list
 (** All MHP instance pairs [(iid1, iid2)] of two statement gids, restricted
     to the thread pairs that pass the summary test. The pair {e set} equals
-    the naive reference's; the order is unspecified but deterministic. *)
-
-val mhp_stmt_naive : ?stats:stats -> t -> int -> int -> bool
-(** Reference implementation scanning all instance pairs (short-circuiting);
-    [stats] counts its [inst_checks]. For differential tests and baselines. *)
-
-val mhp_pairs_inst_naive : ?stats:stats -> t -> int -> int -> (int * int) list
-(** Reference pair enumeration over the full instance product, in
-    [insts_of_gid] nesting order. *)
+    the full instance product filtered by {!mhp_inst}; the order is
+    unspecified but deterministic. *)
 
 val witness_pair : t -> int -> int -> (int * int) option
 (** First instance pair witnessing [mhp_stmt] for two statement gids (the

@@ -120,6 +120,9 @@ let sorted_bindings reg =
   Hashtbl.fold (fun name m acc -> (name, m) :: acc) reg []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let histograms ?(reg = global) () =
+  List.filter_map (function name, H h -> Some (name, h) | _ -> None) (sorted_bindings reg)
+
 let to_json ?(reg = global) () =
   let named p =
     List.filter_map

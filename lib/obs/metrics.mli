@@ -71,6 +71,9 @@ val find_counter : ?reg:registry -> string -> int option
 val find_gauge : ?reg:registry -> string -> int option
 val find_histogram : ?reg:registry -> string -> histogram option
 
+val histograms : ?reg:registry -> unit -> (string * histogram) list
+(** Every histogram of the registry, sorted by name. *)
+
 val to_json : ?reg:registry -> unit -> Json.t
 (** [{ "counters": {..}, "gauges": {..}, "histograms": {name: { "count",
     "sum", "p50", "p95", "p99", "buckets": [{"le", "count"}, ...] }} }],

@@ -399,6 +399,18 @@ let locks_guard ~shape ~old_prog ~old_and ~new_prog ~new_and =
 
 (* -- the edit pipeline ----------------------------------------------------- *)
 
+(* The sparse solve's own provenance rule, as Andersen's lives in
+   [A.run_warm] and the SVFG's in [Svfg.patch]: a recording solve logs one
+   derivation per fact it propagates, and the facts a warm start copies in
+   carry none. Under --provenance both warm starts — the edit planner and
+   restore's verification sweep — are refused and the solve drains cold. *)
+let warm_solve t ~note hook prog ast svfg ~singleton =
+  if t.config.D.provenance then begin
+    note "sparse_provenance";
+    None
+  end
+  else hook prog ast svfg ~singleton
+
 (* Computes a full new generation from [old] + [new_ast] without touching
    [t.gen] — safe to run in a spawned domain while queries keep answering
    from [old]. All fallback bookkeeping rides back in [e_fallbacks]. *)
@@ -528,18 +540,8 @@ let compute_edit t ~old new_ast =
                   | Error r ->
                     note r;
                     None);
-            D.wh_solve = plan_solve;
+            D.wh_solve = warm_solve t ~note plan_solve;
           }
-        in
-        (* warm pre-phases skip the derivation recording [explain] needs;
-           under --provenance every pre-phase runs cold (the sparse solve
-           still warm-starts — it threads [?prov] through) *)
-        let warm_hooks =
-          if t.config.D.provenance then begin
-            note "provenance_mode";
-            { D.cold_hooks with D.wh_solve = plan_solve }
-          end
-          else warm_hooks
         in
         let d = D.run ~config:t.config ~warm:warm_hooks new_prog in
         match !planned with
@@ -672,9 +674,10 @@ let edit_wait t =
    Restore never resurrects solver-internal structures: it re-lowers and
    re-runs every pre-phase cold (rebuilding the edge-owner and def-use
    splice indexes from scratch), then warm-starts only the final sparse
-   solve from the stored facts under a full verification sweep. A restored
-   daemon therefore warm-patches subsequent edits from freshly built
-   structures, never from marshalled ones. *)
+   solve from the stored facts under a full verification sweep (under
+   --provenance the solve runs cold and only the fingerprint check applies).
+   A restored daemon therefore warm-patches subsequent edits from freshly
+   built structures, never from marshalled ones. *)
 type payload = {
   sp_source : string;
   sp_ast : Ast.program;
@@ -742,7 +745,9 @@ let restore t path =
               raise (Bad_snapshot "corrupt payload"))
       in
       let ast = payload.sp_ast in
+      let swept = ref false in
       let restore_solve prog _ svfg ~singleton:_ =
+        swept := true;
         let n_vars = Prog.n_vars prog in
         let n_objs = Prog.n_objs prog in
         let w_ptv = Array.make (max 1 n_vars) Iset.empty in
@@ -773,11 +778,12 @@ let restore t path =
       in
       let d =
         D.run ~config:t.config
-          ~warm:{ D.cold_hooks with D.wh_solve = restore_solve }
+          ~warm:
+            { D.cold_hooks with D.wh_solve = warm_solve t ~note:(note_fallback t) restore_solve }
           (Lower.lower ast)
       in
       let growth = Sparse.n_growth d.D.sparse in
-      if growth <> 0 then
+      if !swept && growth <> 0 then
         Error (Printf.sprintf "stale snapshot: verification sweep grew %d facts" growth)
       else if not (String.equal (Svfg.digest d.D.svfg) payload.sp_digest) then
         Error "stale snapshot: SVFG fingerprint mismatch"

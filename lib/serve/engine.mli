@@ -65,6 +65,12 @@ type edit_info = {
 }
 
 val create : ?jobs:int -> ?provenance:bool -> ?differential:bool -> unit -> t
+(** [provenance] records derivations for [explain]. Each phase that
+    records — Andersen, the SVFG, the sparse solve — then refuses its warm
+    start on every edit and restore, counted under [andersen_provenance],
+    [svfg_provenance] and [sparse_provenance]; the thread model, MHP and
+    lock spans record nothing and are reused as usual. *)
+
 val loaded : t -> bool
 
 val busy : t -> bool
@@ -143,4 +149,12 @@ val restore : t -> string -> (load_info, string) result
     later warm edits never patch from marshalled structures — then
     warm-start the solve from the stored facts with {e every} unit
     seeded: a verification sweep. Rejects the snapshot if the sweep grows
-    any fact ([Sparse.n_growth] ≠ 0) or the SVFG fingerprint drifted. *)
+    any fact ([Sparse.n_growth] ≠ 0) or the SVFG fingerprint drifted.
+    Under [provenance] the solve runs cold ([sparse_provenance]) and only
+    the fingerprint check applies. *)
+
+val same_results : Fsam_core.Driver.t -> Fsam_core.Driver.t -> bool
+(** Whether two completed runs of the same program agree byte for byte:
+    Andersen points-to, sparse top-level sets, memory facts (keyed by SVFG
+    node structure, so a patched graph matches a cold rebuild), the SVFG
+    fingerprint and the race report. *)

@@ -12,8 +12,6 @@ module Races = Fsam_core.Races
 module Ex = Fsam_core.Explain
 module Iset = Fsam_dsa.Iset
 
-type op_stat = { mutable os_count : int; mutable os_us : int }
-
 type t = {
   eng : Engine.t;
   crash_telemetry : string option;
@@ -23,9 +21,6 @@ type t = {
       (** per-request telemetry: latency histograms, byte/error counters,
           flight recorder, slow-query log — survives pipeline registry
           resets *)
-  op_stats : (string, op_stat) Hashtbl.t;
-      (** per-op request counts and wall time — kept here because the
-          pipeline resets the global metrics registry on every run *)
   mutable requests : int;
       (** doubles as the monotonic request id ([seq]) echoed in every
           reply *)
@@ -40,7 +35,6 @@ let create ?crash_telemetry ?stats eng =
     eng;
     crash_telemetry;
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    op_stats = Hashtbl.create 16;
     requests = 0;
     last_edit = None;
     shutdown = false;
@@ -92,47 +86,13 @@ let require_not_busy srv what =
            Printf.sprintf
              "%s must wait for the in-flight edit — send \"edit-wait\" first" what ))
 
-(* name-or-id resolution, as in the CLI but returning protocol errors *)
-let resolve ~what n name_of s =
-  match int_of_string_opt s with
-  | Some i when i >= 0 && i < n -> i
-  | Some i -> raise (Err ("bad_request", Printf.sprintf "%s id %d out of range" what i))
-  | None ->
-    let rec scan i =
-      if i >= n then raise (Err ("bad_request", Printf.sprintf "unknown %s %S" what s))
-      else if String.equal (name_of i) s then i
-      else scan (i + 1)
-    in
-    scan 0
+let lookup srv kind what s =
+  match Prog.lookup (driver srv).D.prog kind s with
+  | Some i -> i
+  | None -> bad (Printf.sprintf "unknown %s %S" what s)
 
-(* Variables resolve by name to the latest SSA version: lowering leaves the
-   pre-SSA entry ("q") dead in the table next to the live versions ("q#7"),
-   so an exact-name lookup would answer from a variable no statement
-   defines. Among all vars whose name or base name (the part before '#')
-   equals the query, the highest id is the final SSA version. *)
-let var_of srv s =
-  let d = driver srv in
-  let n = Prog.n_vars d.D.prog in
-  match int_of_string_opt s with
-  | Some i when i >= 0 && i < n -> i
-  | Some i -> raise (Err ("bad_request", Printf.sprintf "variable id %d out of range" i))
-  | None ->
-    let base name =
-      match String.index_opt name '#' with
-      | Some k -> String.sub name 0 k
-      | None -> name
-    in
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      let name = Prog.var_name d.D.prog v in
-      if String.equal name s || String.equal (base name) s then best := v
-    done;
-    if !best < 0 then raise (Err ("bad_request", Printf.sprintf "unknown variable %S" s));
-    !best
-
-let obj_of srv s =
-  let d = driver srv in
-  resolve ~what:"object" (Prog.n_objs d.D.prog) (Prog.obj_name d.D.prog) s
+let var_of srv s = lookup srv `Var "variable" s
+let obj_of srv s = lookup srv `Obj "object" s
 
 let gid_of srv req name =
   let d = driver srv in
@@ -422,10 +382,9 @@ let refresh_engine_gauges srv =
 let op_status srv =
   refresh_engine_gauges srv;
   let ops =
-    Hashtbl.fold (fun op s acc -> (op, s) :: acc) srv.op_stats []
-    |> List.sort compare
-    |> List.map (fun (op, s) ->
-           (op, J.Obj [ ("count", J.Int s.os_count); ("us", J.Int s.os_us) ]))
+    List.map
+      (fun (op, count, us) -> (op, J.Obj [ ("count", J.Int count); ("us", J.Int us) ]))
+      (Stats.op_totals srv.stats)
   in
   [
     ("loaded", J.Bool (Engine.loaded srv.eng));
@@ -463,7 +422,7 @@ let op_metrics srv =
 (* Prometheus exposition: always includes the serve registry; the pipeline's
    global registry rides along only when no in-flight edit owns it, so the
    op — unlike [metrics] — never has to wait. *)
-let op_stats srv =
+let op_prometheus srv =
   refresh_engine_gauges srv;
   let extra_regs = if Engine.busy srv.eng then [] else [ Fsam_obs.Metrics.global ] in
   [
@@ -499,18 +458,6 @@ let err_reply ~id ~seq ~us ~cpu_us code msg =
       ("error", J.Obj [ ("code", J.String code); ("message", J.String msg) ]);
     ]
 
-let note_op srv op us =
-  let s =
-    match Hashtbl.find_opt srv.op_stats op with
-    | Some s -> s
-    | None ->
-      let s = { os_count = 0; os_us = 0 } in
-      Hashtbl.add srv.op_stats op s;
-      s
-  in
-  s.os_count <- s.os_count + 1;
-  s.os_us <- s.os_us + us
-
 (* The edit reply already carries its phase breakdown and dirty-function
    count (PR 9); the flight recorder and slow-query log lift them out of
    the result fields rather than recomputing. *)
@@ -540,14 +487,12 @@ let rec handle_request ?(depth = 0) ?(bytes_in = 0) srv req =
     let op, reply, err, dirty, phases =
       match fields_or_err with
       | Ok (op, fields) ->
-        note_op srv op us;
         ( op,
           ok_reply ~id ~seq ~us ~cpu_us fields,
           None,
           dirty_of_fields fields,
           List.assoc_opt "phases" fields )
       | Error (op, code, msg) ->
-        note_op srv op us;
         (op, err_reply ~id ~seq ~us ~cpu_us code msg, Some code, -1, None)
     in
     let bytes_out = String.length (J.to_string ~minify:true reply) in
@@ -572,7 +517,7 @@ let rec handle_request ?(depth = 0) ?(bytes_in = 0) srv req =
        | "restore" -> Ok (op, op_restore srv req)
        | "status" -> Ok (op, op_status srv)
        | "metrics" -> Ok (op, op_metrics srv)
-       | "stats" -> Ok (op, op_stats srv)
+       | "stats" -> Ok (op, op_prometheus srv)
        | "dump" -> Ok (op, op_dump srv)
        | "batch" ->
          if depth > 0 then Error (op, "bad_request", "nested batch requests")
@@ -714,7 +659,7 @@ let start_stats_socket srv path =
   in
   { ss_stop = stop; ss_sock = sock; ss_path = path; ss_domain = dom }
 
-let stop_stats_socket ss =
+let close_stats_socket ss =
   Atomic.set ss.ss_stop true;
   Domain.join ss.ss_domain;
   (try Unix.close ss.ss_sock with Unix.Unix_error _ -> ());

@@ -48,5 +48,5 @@ val start_stats_socket : t -> string -> stats_server
     registry and is closed. Raises [Unix.Unix_error] if the socket can't
     be bound. *)
 
-val stop_stats_socket : stats_server -> unit
+val close_stats_socket : stats_server -> unit
 (** Stop the scraper domain, close and unlink the socket. *)

@@ -126,6 +126,23 @@ let note t ~seq ~op ~us ~cpu_us ~ok ~err ~gen ~dirty ~bytes_in ~bytes_out ~req ~
     flush oc
   end
 
+(* Per-op request count and summed latency, read off the
+   [serve.req.<op>.latency_us] histograms [note] fills. *)
+let op_totals t =
+  let prefix = "serve.req." and suffix = ".latency_us" in
+  let np = String.length prefix and ns = String.length suffix in
+  locked t (fun () ->
+      List.filter_map
+        (fun (name, h) ->
+          let n = String.length name in
+          if n >= np + ns && String.starts_with ~prefix name && String.ends_with ~suffix name
+          then
+            let op = String.sub name np (n - np - ns) in
+            Some (op, Metrics.histogram_count h, Metrics.histogram_sum h)
+          else None)
+        (Metrics.histograms ~reg:t.reg ()))
+  |> List.sort compare
+
 (* -- process gauges -------------------------------------------------------- *)
 
 let page_kb =

@@ -47,6 +47,10 @@ val note :
     request parameters (program-sized payloads elided to byte lengths) and
     [phases] (an edit reply's phase breakdown) verbatim. *)
 
+val op_totals : t -> (string * int * int) list
+(** [(op, requests, summed wall us)] per op, sorted by op — the count and
+    sum of each [serve.req.<op>.latency_us] histogram. *)
+
 val rss_kb : unit -> int
 (** Resident set size from [/proc/self/statm], in KiB; 0 where
     unavailable. *)

@@ -34,7 +34,12 @@ let pt_of d prog prefix =
 let test_fig1a_file () =
   let prog = compile_file (dir ^ "fig1a.c") in
   let d = D.run prog in
-  Alcotest.(check (list string)) "pt(c) = {y, z}" [ "y"; "z" ] (pt_of d prog "c")
+  Alcotest.(check (list string)) "pt(c) = {y, z}" [ "y"; "z" ] (pt_of d prog "c");
+  (* the name resolver the CLI's explain path uses lands on the live SSA
+     version, not the dead pre-SSA "c" *)
+  match Fsam_ir.Prog.lookup prog `Var "c" with
+  | Some v -> Alcotest.(check (list string)) "lookup c" [ "y"; "z" ] (D.pt_names d v)
+  | None -> Alcotest.fail "lookup c: unknown variable"
 
 let test_wordcount_file () =
   let prog = compile_file (dir ^ "wordcount.c") in

@@ -200,23 +200,8 @@ let test_store_verdicts () =
       | _ -> ());
   Alcotest.(check bool) "store verdicts recorded" true (!seen > 0)
 
-(* Recording must not change any result: off and on runs must agree on every
-   top-level set and every (node, obj) memory fact. *)
-let results_identical (a : D.t) (b : D.t) =
-  let ok = ref true in
-  for v = 0 to Prog.n_vars a.D.prog - 1 do
-    if not (Iset.equal (S.pt_top a.D.sparse v) (S.pt_top b.D.sparse v)) then ok := false
-  done;
-  let tbl = Hashtbl.create 1024 in
-  S.iter_pto a.D.sparse (fun ~node ~obj s -> Hashtbl.replace tbl (node, obj) s);
-  let n_b = ref 0 in
-  S.iter_pto b.D.sparse (fun ~node ~obj s ->
-      incr n_b;
-      match Hashtbl.find_opt tbl (node, obj) with
-      | Some s' when Iset.equal s s' -> ()
-      | _ -> ok := false);
-  !ok && Hashtbl.length tbl = !n_b
-
+(* Recording must not change any result: off and on runs must agree byte
+   for byte ([Engine.same_results]). *)
 let test_off_on_identity () =
   for seed = 21 to 24 do
     let d_off = D.run (W.generate ~seed ~size:24 ()) in
@@ -224,7 +209,7 @@ let test_off_on_identity () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: off/on results identical" seed)
       true
-      (results_identical d_off d_on);
+      (Fsam_serve.Engine.same_results d_off d_on);
     (* without recording, provenance queries decline rather than guess *)
     (match Fsam_core.Races.detect d_off with
     | r :: _ ->

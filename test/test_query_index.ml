@@ -1,7 +1,8 @@
 (* Differential and invariance tests for the indexed MHP/lock query layer:
 
    - the summary-indexed [mhp_stmt]/[mhp_pairs_inst] agree with the naive
-     instance-product references on random IR and MiniC programs;
+     instance-product references ([Oracle.Naive]) on random IR and MiniC
+     programs;
    - [common_lock] (bitset fast path + memo) agrees with the span-product
      reference, and [commonly_protected] with its emptiness;
    - [mhp_inst] is symmetric (the SVFG's statement-MHP memo relies on the
@@ -17,6 +18,7 @@ module Locks = Fsam_mta.Locks
 module Threads = Fsam_mta.Threads
 module Svfg = Fsam_memssa.Svfg
 module Iset = Fsam_dsa.Iset
+module Naive = Oracle.Naive
 
 let gids_with_insts tm =
   let seen = Hashtbl.create 64 in
@@ -40,11 +42,11 @@ let check_queries_agree ~name (d : D.t) =
     let j = ref 0 in
     while !j < n do
       let g1 = gids.(!i) and g2 = gids.(!j) in
-      let idx = Mhp.mhp_stmt mhp g1 g2 and nv = Mhp.mhp_stmt_naive mhp g1 g2 in
+      let idx = Mhp.mhp_stmt mhp g1 g2 and nv = Naive.mhp_stmt mhp g1 g2 in
       if idx <> nv then
         Alcotest.failf "%s: mhp_stmt gids (%d,%d): indexed=%b naive=%b" name g1 g2 idx nv;
       let p_idx = sorted_pairs (Mhp.mhp_pairs_inst mhp g1 g2) in
-      let p_nv = sorted_pairs (Mhp.mhp_pairs_inst_naive mhp g1 g2) in
+      let p_nv = sorted_pairs (Naive.mhp_pairs_inst mhp g1 g2) in
       if p_idx <> p_nv then
         Alcotest.failf "%s: mhp_pairs_inst gids (%d,%d): %d indexed vs %d naive pairs" name g1
           g2 (List.length p_idx) (List.length p_nv);
@@ -60,7 +62,7 @@ let check_queries_agree ~name (d : D.t) =
     let b = ref 0 in
     while !b < ni do
       let cl = sorted_pairs (Locks.common_lock ~cache lk !a !b) in
-      let cln = sorted_pairs (Locks.common_lock_naive lk !a !b) in
+      let cln = sorted_pairs (Naive.common_lock lk !a !b) in
       if cl <> cln then Alcotest.failf "%s: common_lock insts (%d,%d) disagrees" name !a !b;
       if Locks.commonly_protected lk !a !b <> (cln <> []) then
         Alcotest.failf "%s: commonly_protected insts (%d,%d) disagrees" name !a !b;

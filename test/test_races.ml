@@ -1,6 +1,6 @@
 (* The race client against its oracle: [Races.detect] (a filter over the
    SVFG's recorded [THREAD-VF] pair verdicts) must report exactly what the
-   all-pairs scan in [Race_oracle] reports, under the default config and
+   all-pairs scan in [Oracle.Race_oracle] reports, under the default config and
    each of the paper's three ablations. *)
 
 module D = Fsam_core.Driver
@@ -21,7 +21,7 @@ let check_all ~name prog =
       let d = D.run ~config prog in
       Alcotest.(check (list string))
         (Printf.sprintf "%s/%s" name cname)
-        (render d (Race_oracle.detect d))
+        (render d (Oracle.Race_oracle.detect d))
         (render d (Fsam_core.Races.detect d)))
     configs
 

@@ -52,19 +52,11 @@ let mutate ~k source =
   in
   Fsam_frontend.Pretty.to_string ast'
 
-let all_pt d =
-  List.init (Prog.n_vars d.D.prog) (fun v -> Sparse.pt_top d.D.sparse v)
-
-let same_driver_results a b =
-  List.for_all2 Iset.equal (all_pt a) (all_pt b)
-  && String.equal (Svfg.digest a.D.svfg) (Svfg.digest b.D.svfg)
-  && Races.detect a = Races.detect b
-
 (* The resident generation's race report (read off the possibly patched
    SVFG's pair rows) against the all-pairs scan. *)
 let check_races_oracle what eng =
   let d = Engine.driver eng in
-  if Races.detect d <> Race_oracle.detect d then
+  if Races.detect d <> Oracle.Race_oracle.detect d then
     Alcotest.failf "%s: race report differs from the all-pairs oracle" what
 
 (* Random programs, random edits, differential mode on: every edit that runs
@@ -118,10 +110,10 @@ let test_edit_jobs_invariant () =
     | Some d1, Some d2, Some d4 ->
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: jobs 1 vs 2" seed)
-        true (same_driver_results d1 d2);
+        true (Engine.same_results d1 d2);
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: jobs 1 vs 4" seed)
-        true (same_driver_results d1 d4)
+        true (Engine.same_results d1 d4)
     | None, None, None -> () (* mutation didn't lower under any engine *)
     | _ -> Alcotest.failf "seed %d: edit viability differed across jobs" seed
   done
@@ -269,6 +261,69 @@ let test_edit_sequence_jobs () =
   Alcotest.(check (list string)) "digests: jobs 1 vs 2" d1 (run 2);
   Alcotest.(check (list string)) "digests: jobs 1 vs 4" d1 (run 4)
 
+(* Under --provenance every recording phase (Andersen, SVFG, sparse solve)
+   refuses its warm start while the thread model, MHP and locks are still
+   reused; after a load, a shape-preserving edit and a snapshot/restore,
+   every why-pt chain of the resident generation must be fully recorded,
+   replay, and equal the chain of a cold recording run of the same source. *)
+let check_chains_cold stage eng =
+  let d = Engine.driver eng in
+  let cold =
+    D.run
+      ~config:{ D.default_config with D.provenance = true }
+      (Fsam_frontend.Lower.compile_string (Engine.source eng))
+  in
+  let render d chain = J.to_string ~minify:true (Fsam_core.Explain.chain_json d chain) in
+  let n = ref 0 in
+  for v = 0 to Prog.n_vars d.D.prog - 1 do
+    Iset.iter
+      (fun o ->
+        incr n;
+        let what =
+          Printf.sprintf "%s: pt(%s) ∋ %s" stage (Prog.var_name d.D.prog v)
+            (Prog.obj_name d.D.prog o)
+        in
+        match (Fsam_core.Explain.why_pt d v o, Fsam_core.Explain.why_pt cold v o) with
+        | Some chain, Some chain' ->
+          if List.exists (fun st -> st.Fsam_core.Explain.tag = 0) chain then
+            Alcotest.failf "%s: unrecorded link" what;
+          if not (Fsam_core.Explain.replay d chain) then
+            Alcotest.failf "%s: chain does not replay" what;
+          Alcotest.(check string) (what ^ ": chain as cold") (render cold chain')
+            (render d chain)
+        | _ -> Alcotest.failf "%s: no chain" what)
+      (Sparse.pt_top d.D.sparse v)
+  done;
+  if !n = 0 then Alcotest.failf "%s: no points-to facts" stage
+
+let test_provenance_warm_chains () =
+  let eng = Engine.create ~provenance:true () in
+  (match Engine.load eng (mt_source ~target:"worker_a" ~lock_var:"m1" ~global:"g1") with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok _ -> ());
+  check_chains_cold "load" eng;
+  let stage, src = List.nth mt_stages 0 in
+  (match Engine.edit_source eng src with
+  | Error e -> Alcotest.failf "%s: edit failed: %s" stage e
+  | Ok info ->
+    check_chains_cold stage eng;
+    Alcotest.(check bool)
+      (stage ^ ": sparse warm start refused")
+      true
+      (List.mem "sparse_provenance" info.Engine.e_fallbacks);
+    Alcotest.(check bool) (stage ^ ": thread model reused") true
+      (phases_exn ~stage info).Engine.ph_tm_reused);
+  let path = Filename.temp_file "fsam_test" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      (match Engine.snapshot eng path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "snapshot failed: %s" e);
+      match Engine.restore eng path with
+      | Error e -> Alcotest.failf "restore failed: %s" e
+      | Ok _ -> check_chains_cold "restore" eng)
+
 (* -- snapshot / restore ---------------------------------------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -292,7 +347,7 @@ let test_snapshot_roundtrip () =
           Alcotest.(check bool)
             (Printf.sprintf "seed %d: restored state identical" seed)
             true
-            (same_driver_results (Engine.driver eng) (Engine.driver eng2));
+            (Engine.same_results (Engine.driver eng) (Engine.driver eng2));
           Alcotest.(check string)
             (Printf.sprintf "seed %d: source survives" seed)
             (Engine.source eng) (Engine.source eng2))
@@ -367,7 +422,17 @@ let test_protocol_basics () =
       [ ("id", J.Int 9); ("op", J.String "explain"); ("query", J.String "why-pt") ]
   in
   Alcotest.(check (option string))
-    "explain without provenance" (Some "provenance_disabled") (err_code r)
+    "explain without provenance" (Some "provenance_disabled") (err_code r);
+  (* a local resolves to its final SSA version: in fig1a "c" names both the
+     dead pre-SSA entry and the live c#18 (pt = {y, z}) *)
+  let r =
+    req srv [ ("op", J.String "load"); ("path", J.String (Test_minic_files.dir ^ "fig1a.c")) ]
+  in
+  Alcotest.(check bool) "load fig1a ok" true (is_ok r);
+  let r = req srv [ ("op", J.String "points-to"); ("var", J.String "c") ] in
+  Alcotest.(check bool) "c resolves to c#18" true (J.member "var" r = Some (J.String "c#18"));
+  Alcotest.(check int) "pt(c) = {y, z}" 2
+    (match J.member "objects" r with Some (J.List l) -> List.length l | _ -> 0)
 
 let test_protocol_edit_and_ids () =
   let eng = Engine.create ~differential:true () in
@@ -465,6 +530,7 @@ let suite =
     Alcotest.test_case "edit-jobs-invariant" `Slow test_edit_jobs_invariant;
     Alcotest.test_case "edit-sequence-phases" `Quick test_edit_sequence_phases;
     Alcotest.test_case "edit-sequence-jobs" `Quick test_edit_sequence_jobs;
+    Alcotest.test_case "provenance-warm-chains" `Quick test_provenance_warm_chains;
     Alcotest.test_case "snapshot-roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot-rejects-garbage" `Quick test_snapshot_rejects_garbage;
     Alcotest.test_case "protocol-basics" `Quick test_protocol_basics;

@@ -3,7 +3,7 @@
 
 open Fsam_ir
 module B = Builder
-module S = Fsam_andersen.Steens
+module S = Oracle.Steens
 module A = Fsam_andersen.Solver
 module Iset = Fsam_dsa.Iset
 

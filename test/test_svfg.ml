@@ -141,13 +141,6 @@ let test_fig6_pt_results () =
   Alcotest.(check bool) "o2 visible" true (List.mem "o2" names);
   Alcotest.(check bool) "o3 visible (thread effect at join)" true (List.mem "o3" names)
 
-let test_no_thread_aware_when_disabled () =
-  let f6 = build_fig6 () in
-  let config = { Svfg.default_config with thread_aware = false } in
-  let svfg, _ = build_svfg ~config f6.prog in
-  Alcotest.(check int) "no thread-aware edges" 0 (Svfg.n_thread_aware_edges svfg);
-  Alcotest.(check bool) "no s2 -> s4" false (has_o_edge svfg f6.o f6.s2 f6.s4)
-
 let test_no_value_flow_superset () =
   let f6 = build_fig6 () in
   let svfg_full, _ = build_svfg f6.prog in
@@ -237,7 +230,6 @@ let suite =
   [
     Alcotest.test_case "figure 6 def-use edges" `Quick test_fig6_edges;
     Alcotest.test_case "figure 6 pt results" `Quick test_fig6_pt_results;
-    Alcotest.test_case "thread-aware disabled" `Quick test_no_thread_aware_when_disabled;
     Alcotest.test_case "no-value-flow superset of edges" `Quick test_no_value_flow_superset;
     Alcotest.test_case "context store" `Quick test_ctx_store;
     Alcotest.test_case "icfg call/ret edges" `Quick test_icfg_call_edges;
