@@ -14,6 +14,8 @@ type t = {
   mutable strong_updates : int; (* store-processing events that killed *)
   mutable weak_updates : int;
   mutable growth : int; (* add events that enlarged a set during the drain *)
+  mutable pass : int list; (* pass-through store gids, ascending *)
+  mutable preload_s : float; (* wall seconds of the warm preload *)
 }
 
 let pt_top t v = t.ptv.(v)
@@ -37,6 +39,8 @@ let n_iterations t = t.iterations
 let n_strong_updates t = t.strong_updates
 let n_weak_updates t = t.weak_updates
 let n_growth t = t.growth
+let passthrough t = t.pass
+let preload_s t = t.preload_s
 
 let pts_entries t =
   Array.fold_left (fun acc s -> acc + Iset.cardinal s) 0 t.ptv
@@ -145,6 +149,7 @@ type warm = {
   w_ptv : Iset.t array;
   w_pto : ((int * int) * Iset.t) list;
   w_units : int list;
+  w_pass : int list;
 }
 
 let solve ?warm ?prov prog ast svfg ~singleton =
@@ -161,8 +166,13 @@ let solve ?warm ?prov prog ast svfg ~singleton =
       strong_updates = 0;
       weak_updates = 0;
       growth = 0;
+      pass = [];
+      preload_s = 0.;
     }
   in
+  (* stores that pass every incoming fact through and never kill (see the
+     second round below) *)
+  let pass = Bitvec.create ~capacity:n_stmts () in
   (* Warm start: pre-load facts proven to match the least fixpoint (the
      incremental engine's clean slice). The drain below then seeds only
      [w_units]; the monotone transfer functions grow the pre-loaded state
@@ -170,15 +180,20 @@ let solve ?warm ?prov prog ast svfg ~singleton =
   (match warm with
   | None -> ()
   | Some w ->
-    Array.blit w.w_ptv 0 t.ptv 0 (min (Array.length w.w_ptv) (Array.length t.ptv));
-    List.iter
-      (fun ((node, o), set) ->
-        if not (Iset.is_empty set) then begin
-          Hashtbl.replace t.pto (node, o) set;
-          let any = Option.value ~default:Iset.empty (Hashtbl.find_opt t.obj_any o) in
-          Hashtbl.replace t.obj_any o (Iset.union any set)
-        end)
-      w.w_pto);
+    let (), sp =
+      Obs.Span.with_timed ~name:"solve.preload" (fun () ->
+          Array.blit w.w_ptv 0 t.ptv 0 (min (Array.length w.w_ptv) (Array.length t.ptv));
+          List.iter
+            (fun ((node, o), set) ->
+              if not (Iset.is_empty set) then begin
+                Hashtbl.replace t.pto (node, o) set;
+                let any = Option.value ~default:Iset.empty (Hashtbl.find_opt t.obj_any o) in
+                Hashtbl.replace t.obj_any o (Iset.union any set)
+              end)
+            w.w_pto;
+          List.iter (Bitvec.set pass) w.w_pass)
+    in
+    t.preload_s <- sp.Obs.Span.dur_s);
   let unit_of_node n = unit_of_svfg_node prog svfg n in
   let n_units = unit_count prog svfg in
   let { d_users = var_users; _ } =
@@ -295,36 +310,44 @@ let solve ?warm ?prov prog ast svfg ~singleton =
       | None -> ()
       | Some node ->
         let targets = t.ptv.(dst) in
-        Iset.iter (fun o -> add_obj ~rt:Fsam_prov.m_store ~rx:src ~ry:gid node o t.ptv.(src)) targets;
-        (* kill(s, p) of Figure 10, decided once per store processing: the
-           verdict depends only on pt(p) and the store's racy objects, not
-           on the incoming def edge. One deviation: the paper kills
-           everything when pt(p) = ∅ (a C null store is undefined
-           behaviour); our IR defines a null store as a no-op, so incoming
-           values pass through — anything else would be unsound against the
-           interpreter's semantics. *)
-        let killed =
-          match Iset.as_singleton targets with
-          | Some o' when singleton o' && not (Iset.mem o' (Svfg.racy_objs svfg gid)) ->
-            o'
-          | _ -> -1
-        in
-        (* replace semantics: the verdict of the final (sound) processing of
-           this store is the one the explain layer reports *)
-        (match prov with
-        | Some r ->
-          Fsam_prov.set r ~space:Fsam_prov.sp_store ~k1:gid ~k2:0 ~obj:0
-            ~tag:(if killed >= 0 then Fsam_prov.u_strong else Fsam_prov.u_weak)
-            ~x:killed ~y:0 ~z:0
-        | None -> ());
-        List.iter
-          (fun (o, d) ->
-            if o = killed then t.strong_updates <- t.strong_updates + 1
-            else begin
-              t.weak_updates <- t.weak_updates + 1;
-              add_obj ~rt:Fsam_prov.m_edge ~rx:d ~ry:0 node o (pto_get t d o)
-            end)
-          (Svfg.o_preds svfg node))
+        let passes = Bitvec.get pass gid in
+        (* A store through a still-empty pointer is skipped: it is re-queued
+           when pt(p) grows, since it uses p. Passing its incoming facts on
+           instead would not be monotone — once pt(p) became a singleton the
+           store would strong-update, and the facts it passed earlier could
+           never be withdrawn, so the result would depend on the drain order. *)
+        if passes || not (Iset.is_empty targets) then begin
+          Iset.iter
+            (fun o -> add_obj ~rt:Fsam_prov.m_store ~rx:src ~ry:gid node o t.ptv.(src))
+            targets;
+          (* kill(s, p) of Figure 10, decided once per store processing: the
+             verdict depends only on pt(p) and the store's racy objects, not
+             on the incoming def edge. A pass-through store never kills. *)
+          let killed =
+            match Iset.as_singleton targets with
+            | Some o'
+              when (not passes) && singleton o' && not (Iset.mem o' (Svfg.racy_objs svfg gid))
+              ->
+              o'
+            | _ -> -1
+          in
+          (* replace semantics: the verdict of the final (sound) processing of
+             this store is the one the explain layer reports *)
+          (match prov with
+          | Some r ->
+            Fsam_prov.set r ~space:Fsam_prov.sp_store ~k1:gid ~k2:0 ~obj:0
+              ~tag:(if killed >= 0 then Fsam_prov.u_strong else Fsam_prov.u_weak)
+              ~x:killed ~y:0 ~z:0
+          | None -> ());
+          List.iter
+            (fun (o, d) ->
+              if o = killed then t.strong_updates <- t.strong_updates + 1
+              else begin
+                t.weak_updates <- t.weak_updates + 1;
+                add_obj ~rt:Fsam_prov.m_edge ~rx:d ~ry:0 node o (pto_get t d o)
+              end)
+            (Svfg.o_preds svfg node)
+        end)
     | Stmt.Call { args; ret; _ } -> bind_call gid fid idx args ret
     | Stmt.Fork { handle; args; fork_id; _ } -> (
       bind_call gid fid idx args None;
@@ -400,6 +423,11 @@ let solve ?warm ?prov prog ast svfg ~singleton =
     if u < n_stmts then process u else process_node (u - n_stmts);
     if profiling then monitor ()
   in
+  let drain () =
+    while not (Queue.is_empty queue) do
+      step (Queue.pop queue)
+    done
+  in
   Obs.Span.with_ ~name:"sparse.drain" (fun () ->
       (match warm with
       | None ->
@@ -407,9 +435,27 @@ let solve ?warm ?prov prog ast svfg ~singleton =
           push g
         done
       | Some w -> List.iter push w.w_units);
-      while not (Queue.is_empty queue) do
-        step (Queue.pop queue)
-      done);
+      drain ();
+      (* Second round. The paper kills everything at a store whose pointer
+         is empty (a C null store is undefined behaviour); our IR defines a
+         null store as a no-op, so its incoming values must pass through —
+         anything else would be unsound against the interpreter. Every
+         store still empty at the least fixpoint of the first round becomes
+         pass-through: it forwards all incoming facts and never kills, even
+         if its pointer grows later, so the second drain is monotone too
+         and the result is one fixpoint for every unit order. *)
+      Prog.iter_stmts prog (fun gid _ s ->
+          match s with
+          | Stmt.Store { dst; _ }
+            when Iset.is_empty t.ptv.(dst) && stmt_node gid <> None && not (Bitvec.get pass gid)
+            ->
+            Bitvec.set pass gid;
+            push gid
+          | _ -> ());
+      drain ());
+  let passed = ref [] in
+  Bitvec.iter_set (fun g -> passed := g :: !passed) pass;
+  t.pass <- List.rev !passed;
   t.growth <- !facts;
   Obs.Metrics.(add (counter "sparse.propagations") t.iterations);
   Obs.Metrics.(add (counter "sparse.reprocessed") !reprocessed);

@@ -151,6 +151,8 @@ let phases_json (p : Engine.phase_summary) =
         ("locks_s", J.Float p.Engine.ph_locks_s);
         ("svfg_s", J.Float p.Engine.ph_svfg_s);
         ("sparse_s", J.Float p.Engine.ph_solve_s);
+        ("solve_plan_s", J.Float p.Engine.ph_solve_plan_s);
+        ("solve_preload_s", J.Float p.Engine.ph_solve_preload_s);
       ])
 
 let load_info_json (i : Engine.load_info) =

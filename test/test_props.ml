@@ -184,7 +184,13 @@ let prop_warm_solve_sweep =
             match Svfg.node_id svfg (Svfg.node cold.D.svfg node) with
             | Some n -> w_pto := ((n, obj), s) :: !w_pto
             | None -> Alcotest.failf "seed %d: SVFG node %d has no image" seed node);
-        Some { S.w_ptv; w_pto = !w_pto; w_units = S.all_units prog svfg }
+        Some
+          {
+            S.w_ptv;
+            w_pto = !w_pto;
+            w_units = S.all_units prog svfg;
+            w_pass = S.passthrough cold.D.sparse;
+          }
       in
       let warm = D.run ~warm:{ D.cold_hooks with D.wh_solve = sweep } prog in
       let facts d =
