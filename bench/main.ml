@@ -4,7 +4,7 @@
      dune exec bench/main.exe -- table1            # Table 1: program statistics
      dune exec bench/main.exe -- table2            # Table 2: FSAM vs NonSparse
      dune exec bench/main.exe -- figure12          # Figure 12: phase ablations
-     dune exec bench/main.exe -- par               # serial vs multi-domain clients
+     dune exec bench/main.exe -- large             # one paper-scale pipeline run
      dune exec bench/main.exe -- vf                # indexed MHP/lock query layer
      dune exec bench/main.exe -- prov              # provenance off/on guard
      dune exec bench/main.exe -- micro             # bechamel micro-benchmarks
@@ -28,11 +28,11 @@ let budget = ref 120.
 let quick = ref false
 let only : string list option ref = ref None
 
-(* --size small|large: [small] is the historical tier (suite workloads /
-   thread-scaled vf programs); [large] switches par/vf to the paper-scale
-   synthesized MiniC programs (Minic_synth, 100+ KLOC) with a single capped
-   measurement iteration per jobs value, writing BENCH_<cmd>_large.json so
-   the two tiers keep independent committed baselines. *)
+(* --size small|large: [small] is the historical tier (thread-scaled vf
+   programs, the quick synth serve program); [large] switches vf/serve to
+   their paper-scale programs with a single measurement, writing
+   BENCH_<cmd>_large.json so the two tiers keep independent committed
+   baselines. *)
 let size = ref "small"
 
 let workloads () =
@@ -249,176 +249,30 @@ let figure12 () =
        ])
 
 (* ------------------------------------------------------------------------- *)
-(* Domain-parallel clients — serial vs N-domain post-solve detection.         *)
+(* large — one paper-scale pipeline run.                                      *)
 (* ------------------------------------------------------------------------- *)
 
-(* The leak and deadlock clients are embarrassingly parallel over their
-   outer index range (Fsam_par fan-out); this records serial-vs-N-domain
-   wall times per client per workload, checks the reports are identical for
-   every jobs value, and persists BENCH_par.json. The race client reads the
-   SVFG's pair verdicts, so its row varies the pipeline's jobs instead (the
-   pair discovery is the parallel region) and times the read-off alone.
-   Speedups only materialise on multi-core hosts — [cores] is recorded so
-   single-core CI numbers aren't mistaken for regressions. *)
-let par () =
-  let jobs_list = [ 1; 2; 4 ] in
-  let cores = Fsam_par.available_jobs () in
-  Printf.printf
-    "Domain-parallel clients: wall-clock per jobs value (host has %d core(s)).\n\
-     Reports must be identical for every jobs value.\n"
-    cores;
-  Printf.printf "%-14s %-10s | %10s %10s %10s | %8s %9s %6s\n" "Program" "client"
-    "j=1 (s)" "j=2 (s)" "j=4 (s)" "speedup4" "identical" "imb%";
-  Printf.printf "%s\n" (String.make 92 '-');
-  let rows = ref [] in
-  List.iter
-    (fun (s : W.spec) ->
-      let prog = s.build (scale_of s) in
-      let d = D.run prog in
-      let client name detect render =
-        let timed jobs =
-          let t0 = Unix.gettimeofday () in
-          let r = detect ~jobs d in
-          (r, Unix.gettimeofday () -. t0)
-        in
-        let results = List.map (fun j -> (j, timed j)) jobs_list in
-        let (_, (base, t1)), rest =
-          match results with x :: tl -> (x, tl) | [] -> assert false
-        in
-        let identical =
-          List.for_all (fun (_, (r, _)) -> r = base && render r = render base) rest
-        in
-        if not identical then begin
-          Printf.eprintf "error: %s %s reports differ across --jobs\n" s.name name;
-          exit 1
-        end;
-        let time_of j = snd (List.assoc j results) in
-        let t4 = time_of 4 in
-        let imb =
-          Option.value ~default:0
-            (Fsam_obs.Metrics.find_gauge (Printf.sprintf "par.%s.imbalance_pct" name))
-        in
-        Printf.printf "%-14s %-10s | %10.3f %10.3f %10.3f | %7.2fx %9s %5d%%\n" s.name
-          name t1 (time_of 2) t4
-          (t1 /. max 1e-9 t4)
-          "yes" imb;
-        flush stdout;
-        ( name,
-          J.Obj
-            ([
-               ("n_findings", J.Int (List.length base));
-               ("identical", J.Bool identical);
-               ("imbalance_pct", J.Int imb);
-               ("speedup_j4", J.Float (t1 /. max 1e-9 t4));
-             ]
-            @ List.map
-                (fun (j, (_, t)) -> (Printf.sprintf "j%d_wall_s" j, J.Float t))
-                results) )
-      in
-      let d_at =
-        List.map
-          (fun j ->
-            (j, if j = 1 then d else D.run ~config:{ D.default_config with D.jobs = j } prog))
-          jobs_list
-      in
-      (* explicit lets: list elements evaluate right-to-left in OCaml, and
-         [client] prints its row as a side effect *)
-      let races_cell =
-        client "races"
-          (fun ~jobs _ -> Fsam_core.Races.detect (List.assoc jobs d_at))
-          (fun rs ->
-            String.concat "\n"
-              (List.map (Format.asprintf "%a" (Fsam_core.Races.pp_race d)) rs))
-      in
-      let leaks_cell =
-        client "leaks"
-          (fun ~jobs d -> Fsam_core.Leaks.detect ~jobs d)
-          (fun fs ->
-            String.concat "\n"
-              (List.map (Format.asprintf "%a" (Fsam_core.Leaks.pp_finding d)) fs))
-      in
-      let deadlocks_cell =
-        client "deadlocks"
-          (fun ~jobs d -> Fsam_core.Deadlocks.detect ~jobs d)
-          (fun ds ->
-            String.concat "\n"
-              (List.map (Format.asprintf "%a" (Fsam_core.Deadlocks.pp_deadlock d)) ds))
-      in
-      let cells = [ races_cell; leaks_cell; deadlocks_cell ] in
-      rows := J.Obj [ ("program", J.String s.name); ("clients", J.Obj cells) ] :: !rows)
-    (workloads ());
-  Printf.printf "%s\n\n" (String.make 92 '-');
-  write_bench "BENCH_par.json"
-    (J.Obj
-       [
-         ("schema", J.String "fsam.bench.par/1");
-         ("quick", J.Bool !quick);
-         ("cores", J.Int cores);
-         ("jobs", J.List (List.map (fun j -> J.Int j) jobs_list));
-         ("rows", J.List (List.rev !rows));
-       ])
-
-(* Paper-scale tier: one synthesized 100+ KLOC MiniC program, a single
-   pipeline run and its race report, then the parallel showcase region —
-   the SVFG's [THREAD-VF] pair discovery — timed per jobs value with a
-   byte-identity assertion. One iteration per jobs value (this is a smoke
-   tier: wall times are informational, the deterministic counts are the
-   gate; speedups are only meaningful on multi-core hosts and are gated in
-   CI via bench_gate --speedup-floor). *)
-let par_large () =
-  let jobs_list = [ 1; 4 ] in
-  let cores = Fsam_par.available_jobs () in
+(* One synthesized 100+ KLOC MiniC program through the whole pipeline and
+   the race client, once. The deterministic sizes and counts are the gate;
+   the wall time is informational (one run, no noise estimate). *)
+let large () =
   let p = Fsam_workloads.Minic_synth.large in
   let src = Fsam_workloads.Minic_synth.generate p in
   let lines = Fsam_workloads.Minic_synth.line_count src in
-  Printf.printf
-    "Paper-scale parallel smoke: synthesized MiniC, %d lines (host has %d core(s)).\n"
-    lines cores;
+  Printf.printf "Paper-scale pipeline: synthesized MiniC, %d lines.\n" lines;
   let prog = Fsam_frontend.Lower.compile_string src in
   Printf.printf "  IR statements: %d\n%!" (Prog.n_stmts prog);
   let m = Measure'.run (fun () -> D.run prog) in
   let d = m.Measure'.value in
-  Printf.printf "  pipeline (jobs=1): %.1fs\n%!" m.Measure'.wall_seconds;
-  (* races: read off the SVFG's pair verdicts — no longer a parallel
-     region, so timed once, informationally *)
-  let t0 = Unix.gettimeofday () in
-  let races1 = Fsam_core.Races.detect d in
-  Printf.printf "  races: %d in %.2fs\n%!" (List.length races1) (Unix.gettimeofday () -. t0);
-  (* svfg: rebuild just the def-use phase per jobs value on the shared
-     pipeline state — [THREAD-VF] pair discovery is its parallel region *)
-  let svfg_runs =
-    List.map
-      (fun jobs ->
-        let t0 = Unix.gettimeofday () in
-        let g =
-          Fsam_memssa.Svfg.build ~jobs prog d.D.ast d.D.modref d.D.icfg d.D.tm d.D.mhp
-            d.D.locks d.D.pcg
-        in
-        (jobs, g, Unix.gettimeofday () -. t0))
-      jobs_list
-  in
-  let _, g1, svfg_t1 = List.hd svfg_runs in
-  List.iter
-    (fun (jobs, g, _) ->
-      if
-        Fsam_memssa.Svfg.n_edges g <> Fsam_memssa.Svfg.n_edges g1
-        || Fsam_memssa.Svfg.n_thread_aware_edges g
-           <> Fsam_memssa.Svfg.n_thread_aware_edges g1
-      then begin
-        Printf.eprintf "error: SVFG differs at --jobs %d\n" jobs;
-        exit 1
-      end)
-    (List.tl svfg_runs);
-  let svfg_t4 = match List.find (fun (j, _, _) -> j = 4) svfg_runs with _, _, t -> t in
-  Printf.printf "  %-12s | %10s %10s | %8s\n" "region" "j=1 (s)" "j=4 (s)" "speedup4";
-  Printf.printf "  %-12s | %10.2f %10.2f | %7.2fx\n\n" "svfg.pairs" svfg_t1 svfg_t4
-    (svfg_t1 /. max 1e-9 svfg_t4);
-  write_bench "BENCH_par_large.json"
+  Printf.printf "  pipeline: %.1fs\n%!" m.Measure'.wall_seconds;
+  let races = Fsam_core.Races.detect d in
+  Printf.printf "  races: %d; svfg edges %d (%d [THREAD-VF])\n\n%!" (List.length races)
+    (Fsam_memssa.Svfg.n_edges d.D.svfg)
+    (Fsam_memssa.Svfg.n_thread_aware_edges d.D.svfg);
+  write_bench "BENCH_large.json"
     (J.Obj
        [
-         ("schema", J.String "fsam.bench.par_large/1");
-         ("cores", J.Int cores);
-         ("jobs", J.List (List.map (fun j -> J.Int j) jobs_list));
+         ("schema", J.String "fsam.bench.large/1");
          ( "rows",
            J.List
              [
@@ -428,17 +282,9 @@ let par_large () =
                    ("source_lines", J.Int lines);
                    ("ir_stmts", J.Int (Prog.n_stmts prog));
                    ("pipeline_wall_s", J.Float m.Measure'.wall_seconds);
-                   ("n_races", J.Int (List.length races1));
-                   ("svfg_edges", J.Int (Fsam_memssa.Svfg.n_edges g1));
-                   ( "svfg_thread_edges",
-                     J.Int (Fsam_memssa.Svfg.n_thread_aware_edges g1) );
-                   ("identical", J.Bool true);
-                   ( "svfg_wall_s",
-                     J.Obj
-                       (List.map
-                          (fun (j, _, t) -> (Printf.sprintf "j%d" j, J.Float t))
-                          svfg_runs) );
-                   ("svfg_speedup_j4", J.Float (svfg_t1 /. max 1e-9 svfg_t4));
+                   ("n_races", J.Int (List.length races));
+                   ("svfg_edges", J.Int (Fsam_memssa.Svfg.n_edges d.D.svfg));
+                   ("svfg_thread_edges", J.Int (Fsam_memssa.Svfg.n_thread_aware_edges d.D.svfg));
                  ];
              ] );
        ])
@@ -532,9 +378,8 @@ let query_replay (d : D.t) =
 
 let vf () =
   let large = !size = "large" in
-  let jobs_list = if large then [ 1; 4 ] else [ 1; 2; 4 ] in
   (* the large tier is one paper-scale thread-scaled program: more workers
-     and a bigger sweep than vf_t32, run once per jobs value *)
+     and a bigger sweep than vf_t32 *)
   let scale = if large then 100 else if !quick then 20 else 60 in
   let specs =
     if large then [ ("vf_t48", 48) ]
@@ -544,11 +389,10 @@ let vf () =
       | Some names -> List.filter (fun (name, _) -> List.mem name names) Vf.specs
   in
   Printf.printf
-    "Thread-scaled [THREAD-VF] workloads: indexed vs naive MHP/lock query work.\n\
-     Reports and points-to results must be identical for every jobs value.\n";
-  Printf.printf "%-8s %7s %7s | %9s %9s %7s | %10s %10s | %8s\n" "Program" "threads"
-    "insts" "idx work" "nv work" "ratio" "svfg j1(s)" "svfg j4(s)" "identical";
-  Printf.printf "%s\n" (String.make 100 '-');
+    "Thread-scaled [THREAD-VF] workloads: indexed vs naive MHP/lock query work.\n";
+  Printf.printf "%-8s %7s %7s | %9s %9s %7s | %10s\n" "Program" "threads" "insts" "idx work"
+    "nv work" "ratio" "svfg (s)";
+  Printf.printf "%s\n" (String.make 78 '-');
   let rows = ref [] in
   (* the acceptance bar is the largest thread-scaled workload: small ones
      have too few cross-round products for the index to amortise *)
@@ -571,49 +415,19 @@ let vf () =
           "locks.span_pair_checks";
         ]
       in
-      let run jobs =
-        let d = D.run ~config:{ D.default_config with D.jobs } prog in
-        let counters =
-          List.map
-            (fun n -> (n, Option.value ~default:0 (Fsam_obs.Metrics.find_counter n)))
-            counter_names
-        in
-        let render_races =
-          String.concat "\n"
-            (List.map
-               (Format.asprintf "%a" (Fsam_core.Races.pp_race d))
-               (Fsam_core.Races.detect d))
-        in
-        (d, counters, render_races)
+      let d1 = D.run prog in
+      let counters1 =
+        List.map
+          (fun n -> (n, Option.value ~default:0 (Fsam_obs.Metrics.find_counter n)))
+          counter_names
       in
-      let runs = List.map (fun j -> (j, run j)) jobs_list in
-      let _, (d1, counters1, races1) = List.hd runs in
-      let identical =
-        List.for_all
-          (fun (_, (dj, countersj, racesj)) ->
-            Fsam_serve.Engine.same_results d1 dj
-            && Fsam_memssa.Svfg.n_edges d1.D.svfg = Fsam_memssa.Svfg.n_edges dj.D.svfg
-            && Fsam_memssa.Svfg.n_thread_aware_edges d1.D.svfg
-               = Fsam_memssa.Svfg.n_thread_aware_edges dj.D.svfg
-            && countersj = counters1 && racesj = races1)
-          (List.tl runs)
-      in
-      if not identical then begin
-        Printf.eprintf "error: %s results differ across --jobs\n" name;
-        exit 1
-      end;
       let (idx_checks, idx_wall), (nv_checks, nv_wall) = query_replay d1 in
       let ratio = float_of_int nv_checks /. float_of_int (max 1 idx_checks) in
       last_ratio := ratio;
-      let svfg_wall j =
-        let d, _, _ = List.assoc j runs in
-        d.D.times.D.t_svfg
-      in
-      Printf.printf "%-8s %7d %7d | %9d %9d | %5.1fx | %10.3f %10.3f | %8s\n" name threads
-        (Mta.Threads.n_insts d1.D.tm) idx_checks nv_checks ratio (svfg_wall 1) (svfg_wall 4)
-        "yes";
-      flush stdout;
       let t = d1.D.times in
+      Printf.printf "%-8s %7d %7d | %9d %9d | %5.1fx | %10.3f\n" name threads
+        (Mta.Threads.n_insts d1.D.tm) idx_checks nv_checks ratio t.D.t_svfg;
+      flush stdout;
       rows :=
         J.Obj
           [
@@ -630,10 +444,6 @@ let vf () =
                   ("svfg", J.Float t.D.t_svfg);
                   ("solve", J.Float t.D.t_solve);
                 ] );
-            ( "svfg_wall_s",
-              J.Obj
-                (List.map (fun j -> (Printf.sprintf "j%d" j, J.Float (svfg_wall j))) jobs_list)
-            );
             ("counters", J.Obj (List.map (fun (n, v) -> (n, J.Int v)) counters1));
             ( "query_replay",
               J.Obj
@@ -644,11 +454,10 @@ let vf () =
                   ("indexed_wall_s", J.Float idx_wall);
                   ("naive_wall_s", J.Float nv_wall);
                 ] );
-            ("identical", J.Bool identical);
           ]
         :: !rows)
     specs;
-  Printf.printf "%s\n" (String.make 100 '-');
+  Printf.printf "%s\n" (String.make 78 '-');
   if specs <> [] && !last_ratio < 2.0 then
     Printf.printf
       "WARNING: work reduction on the largest workload is %.2fx, below the 2x target\n"
@@ -662,7 +471,6 @@ let vf () =
            J.String (if large then "fsam.bench.vf_large/1" else "fsam.bench.vf/1") );
          ("quick", J.Bool !quick);
          ("scale", J.Int scale);
-         ("jobs", J.List (List.map (fun j -> J.Int j) jobs_list));
          ("rows", J.List (List.rev !rows));
        ])
 
@@ -873,11 +681,106 @@ let serve_obs_bench () =
     on_us off_us
     (100. *. (on_us -. off_us) /. Float.max 1e-9 off_us)
 
+let serve_load eng source =
+  let t0 = Unix.gettimeofday () in
+  match Eng.load eng source with
+  | Ok li -> (li, Unix.gettimeofday () -. t0)
+  | Error e ->
+    Printf.eprintf "error: serve load failed: %s\n" e;
+    exit 1
+
+(* Apply [script] to the loaded engine, one edit at a time, and render one
+   row per edit: the exact warm/cold pre-phase work and propagation
+   counters, the identity verdict (differential mode only), which phases
+   were reused, and the per-phase walls. [after_edit kind wall] runs after
+   each edit. *)
+let serve_edits eng ~source ~load_pre_work ~after_edit script =
+  let cur = ref source in
+  List.map
+    (fun (kind, fn, mk) ->
+      cur := mk !cur ~fn;
+      let t0 = Unix.gettimeofday () in
+      let info =
+        match Eng.edit_source eng !cur with
+        | Ok i -> i
+        | Error e ->
+          Printf.eprintf "error: serve edit %s %s failed: %s\n" kind fn e;
+          exit 1
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      after_edit kind wall;
+      let warm_pre = pre_work_of info.Eng.e_work in
+      let cold_pre =
+        match info.Eng.e_cold_work with Some w -> pre_work_of w | None -> load_pre_work
+      in
+      let phases_reused =
+        match info.Eng.e_phases with
+        | Some p ->
+          [
+            ("andersen_warm", J.Bool p.Eng.ph_andersen_warm);
+            ("tm_reused", J.Bool p.Eng.ph_tm_reused);
+            ("mhp_reused", J.Bool p.Eng.ph_mhp_reused);
+            ("locks_reused", J.Bool p.Eng.ph_locks_reused);
+            ("svfg_patched", J.Bool p.Eng.ph_svfg_patched);
+          ]
+        | None -> []
+      in
+      (* per-phase walls of the accepted warm run; whatever the edit wall
+         doesn't cover here is parse/lower/diff overhead outside the
+         driver's six phases. The solve's plan and preload are parts of
+         its wall. *)
+      let phase_walls =
+        match info.Eng.e_phases with
+        | Some p ->
+          [
+            ("andersen_wall_s", J.Float p.Eng.ph_pre_s);
+            ("threads_wall_s", J.Float p.Eng.ph_threads_s);
+            ("mhp_wall_s", J.Float p.Eng.ph_mhp_s);
+            ("locks_wall_s", J.Float p.Eng.ph_locks_s);
+            ("svfg_wall_s", J.Float p.Eng.ph_svfg_s);
+            ("solve_wall_s", J.Float p.Eng.ph_solve_s);
+            ("solve_plan_s", J.Float p.Eng.ph_solve_plan_s);
+            ("solve_preload_s", J.Float p.Eng.ph_solve_preload_s);
+          ]
+        | None -> []
+      in
+      let mode = match info.Eng.e_mode with `Incremental -> "incremental" | `Cold -> "cold" in
+      Printf.printf
+        "  %-8s %-6s | mode %-11s | pre-work warm %7d cold %7d (%.1fx) | %6.2fs%s\n%!" kind fn
+        mode warm_pre cold_pre
+        (float_of_int cold_pre /. float_of_int (max 1 warm_pre))
+        wall
+        (match info.Eng.e_identical with
+        | Some true -> " | identical"
+        | Some false -> " | DIFFERS"
+        | None -> "");
+      J.Obj
+        ([
+           ("kind", J.String kind);
+           ("fn", J.String fn);
+           ("mode", J.String mode);
+           ("warm_pre_work", J.Int warm_pre);
+           ("cold_pre_work", J.Int cold_pre);
+           ("pre_work_ratio", J.Float (float_of_int cold_pre /. float_of_int (max 1 warm_pre)));
+           ("warm_propagations", J.Int info.Eng.e_propagations);
+           ("fallbacks", J.List (List.map (fun k -> J.String k) info.Eng.e_fallbacks));
+           ("wall_s", J.Float wall);
+         ]
+        @ (match info.Eng.e_cold_propagations with
+          | Some p -> [ ("cold_propagations", J.Int p) ]
+          | None -> [])
+        @ (match info.Eng.e_identical with Some b -> [ ("identical", J.Bool b) ] | None -> [])
+        @ (if phases_reused = [] then [] else [ ("phases_reused", J.Obj phases_reused) ])
+        @ phase_walls))
+    script
+
 (* Replays a scripted edit+query stream against the resident engine and
    persists the exact warm/cold work counters per edit — the deterministic
    trajectory of the incremental pre-phases. The small tier (synth quick)
    runs every edit in differential mode, so each row carries the matching
    cold run's counters and a byte-identity verdict; CI gates it exactly.
+   Its second row replays the same script on a deep-chain program (depth
+   10), where a warm solve once diverged from the cold rebuild.
    --size large replays on the 100+ KLOC synth program without the
    differential cross-check (a cold reference run costs minutes there) —
    its cold work reference is the cold load of the same program. *)
@@ -892,15 +795,7 @@ let serve_bench () =
     "Serve tier: scripted edit+query stream on %s (differential %s).\n" name
     (if large then "off — cold reference is the load" else "on");
   let eng = Eng.create ~differential:(not large) () in
-  let t0 = Unix.gettimeofday () in
-  let li =
-    match Eng.load eng source with
-    | Ok li -> li
-    | Error e ->
-      Printf.eprintf "error: serve load failed: %s\n" e;
-      exit 1
-  in
-  let load_wall = Unix.gettimeofday () -. t0 in
+  let li, load_wall = serve_load eng source in
   let load_pre_work = pre_work_of li.Eng.l_work in
   Printf.printf "  cold load: %.2fs (pre-phase work %d, races %d)\n%!" load_wall
     load_pre_work li.Eng.l_races;
@@ -920,132 +815,45 @@ let serve_bench () =
     [ ("replace", "f1_1", serve_replace_edit); ("replace", "f2_2", serve_replace_edit) ]
     @ (if large then [] else [ ("append", "f1_0", serve_append_edit) ])
   in
-  let cur = ref source in
   let replace_walls = ref [] in
-  let digests = ref [] in
   let edit_rows =
-    List.map
-      (fun (kind, fn, mk) ->
-        cur := mk !cur ~fn;
-        let t0 = Unix.gettimeofday () in
-        let info =
-          match Eng.edit_source eng !cur with
-          | Ok i -> i
-          | Error e ->
-            Printf.eprintf "error: serve edit %s %s failed: %s\n" kind fn e;
-            exit 1
-        in
-        let wall = Unix.gettimeofday () -. t0 in
+    serve_edits eng ~source ~load_pre_work script ~after_edit:(fun kind wall ->
         if kind = "replace" then replace_walls := wall :: !replace_walls;
-        digests := Fsam_memssa.Svfg.digest (Eng.driver eng).D.svfg :: !digests;
-        run_queries ();
-        let warm_pre = pre_work_of info.Eng.e_work in
-        let cold_pre =
-          match info.Eng.e_cold_work with
-          | Some w -> pre_work_of w
-          | None -> load_pre_work
-        in
-        let phases_reused =
-          match info.Eng.e_phases with
-          | Some p ->
-            [
-              ("andersen_warm", J.Bool p.Eng.ph_andersen_warm);
-              ("tm_reused", J.Bool p.Eng.ph_tm_reused);
-              ("mhp_reused", J.Bool p.Eng.ph_mhp_reused);
-              ("locks_reused", J.Bool p.Eng.ph_locks_reused);
-              ("svfg_patched", J.Bool p.Eng.ph_svfg_patched);
-            ]
-          | None -> []
-        in
-        (* per-phase walls of the accepted warm run; whatever the edit wall
-           doesn't cover here is parse/lower/diff overhead outside the
-           driver's six phases *)
-        let phase_walls =
-          match info.Eng.e_phases with
-          | Some p ->
-            [
-              ("andersen_wall_s", J.Float p.Eng.ph_pre_s);
-              ("threads_wall_s", J.Float p.Eng.ph_threads_s);
-              ("mhp_wall_s", J.Float p.Eng.ph_mhp_s);
-              ("locks_wall_s", J.Float p.Eng.ph_locks_s);
-              ("svfg_wall_s", J.Float p.Eng.ph_svfg_s);
-              ("solve_wall_s", J.Float p.Eng.ph_solve_s);
-            ]
-          | None -> []
-        in
-        Printf.printf
-          "  %-8s %-6s | mode %-11s | pre-work warm %7d cold %7d (%.1fx) | %6.2fs\n%!"
-          kind fn
-          (match info.Eng.e_mode with `Incremental -> "incremental" | `Cold -> "cold")
-          warm_pre cold_pre
-          (float_of_int cold_pre /. float_of_int (max 1 warm_pre))
-          wall;
+        run_queries ())
+  in
+  let deep_row =
+    if large then []
+    else begin
+      let params =
+        {
+          Fsam_workloads.Minic_synth.large with
+          Fsam_workloads.Minic_synth.modules = 4;
+          chain_depth = 10;
+          stmts_per_fn = 40;
+        }
+      in
+      let source = Fsam_workloads.Minic_synth.generate params in
+      Printf.printf "  synth_deep (4 modules, depth 10), differential on:\n%!";
+      let eng = Eng.create ~differential:true () in
+      let li, load_wall = serve_load eng source in
+      let load_pre_work = pre_work_of li.Eng.l_work in
+      let edits =
+        serve_edits eng ~source ~load_pre_work script ~after_edit:(fun _ _ -> ())
+      in
+      [
         J.Obj
-          ([
-             ("kind", J.String kind);
-             ("fn", J.String fn);
-             ( "mode",
-               J.String
-                 (match info.Eng.e_mode with `Incremental -> "incremental" | `Cold -> "cold")
-             );
-             ("warm_pre_work", J.Int warm_pre);
-             ("cold_pre_work", J.Int cold_pre);
-             ( "pre_work_ratio",
-               J.Float (float_of_int cold_pre /. float_of_int (max 1 warm_pre)) );
-             ("warm_propagations", J.Int info.Eng.e_propagations);
-             ("fallbacks", J.List (List.map (fun k -> J.String k) info.Eng.e_fallbacks));
-             ("wall_s", J.Float wall);
-           ]
-          @ (match info.Eng.e_cold_propagations with
-            | Some p -> [ ("cold_propagations", J.Int p) ]
-            | None -> [])
-          @ (match info.Eng.e_identical with
-            | Some b -> [ ("identical", J.Bool b) ]
-            | None -> [])
-          @ (if phases_reused = [] then [] else [ ("phases_reused", J.Obj phases_reused) ])
-          @ phase_walls))
-      script
+          [
+            ("program", J.String "synth_deep");
+            ("differential", J.Bool true);
+            ("races", J.Int li.Eng.l_races);
+            ("cold_load_pre_work", J.Int load_pre_work);
+            ("cold_load_wall_s", J.Float load_wall);
+            ("edits", J.List edits);
+            ("fallback_cold", J.Int (Eng.fallback_total eng));
+          ];
+      ]
+    end
   in
-  (* jobs invariance (quick tier): the same edit stream through engines at
-     --jobs 2 and 4 must land on the same SVFG fingerprint after every
-     edit, with each edit still differential-certified at that jobs value *)
-  let jobs_invariant =
-    if large then None
-    else
-      Some
-        (List.for_all
-           (fun jobs ->
-             let eng = Eng.create ~jobs ~differential:true () in
-             (match Eng.load eng source with
-             | Ok _ -> ()
-             | Error e ->
-               Printf.eprintf "error: serve jobs %d load failed: %s\n" jobs e;
-               exit 1);
-             let cur = ref source in
-             let ds =
-               List.map
-                 (fun (kind, fn, mk) ->
-                   cur := mk !cur ~fn;
-                   match Eng.edit_source eng !cur with
-                   | Ok i when i.Eng.e_identical = Some true ->
-                     Fsam_memssa.Svfg.digest (Eng.driver eng).D.svfg
-                   | Ok _ ->
-                     Printf.eprintf "error: serve jobs %d edit %s %s not identical\n"
-                       jobs kind fn;
-                     exit 1
-                   | Error e ->
-                     Printf.eprintf "error: serve jobs %d edit failed: %s\n" jobs e;
-                     exit 1)
-                 script
-             in
-             ds = List.rev !digests)
-           [ 2; 4 ])
-  in
-  (match jobs_invariant with
-  | Some ok ->
-    Printf.printf "  jobs 1/2/4 digests after every edit: %s\n%!"
-      (if ok then "identical" else "DIVERGED")
-  | None -> ());
   let mean l = List.fold_left ( +. ) 0. l /. float_of_int (max 1 (List.length l)) in
   (* Wall-clock speedup: in the differential (quick) tier every edit above
      also ran the cold reference pipeline, so its wall is not the warm
@@ -1097,28 +905,23 @@ let serve_bench () =
          ("quick", J.Bool !quick);
          ( "rows",
            J.List
-             [
-               J.Obj
-                 [
-                   ("program", J.String name);
-                   ("differential", J.Bool (not large));
-                   ("races", J.Int li.Eng.l_races);
-                   ("cold_load_pre_work", J.Int load_pre_work);
-                   ("cold_load_wall_s", J.Float load_wall);
-                   ("edits", J.List edit_rows);
-                   ("fallback_cold", J.Int (Eng.fallback_total eng));
-                   ( "digests_identical_jobs124",
-                     match jobs_invariant with
-                     | Some ok -> J.Bool ok
-                     | None -> J.String "not_run" );
-                   ("mean_query_us", J.Float (mean !query_us));
-                   ("warm_edit_wall_s", J.Float warm_edit_wall);
-                   ("warm_speedup", J.Float warm_speedup);
-                   ("obs_query_on_us", J.Float obs_on_us);
-                   ("obs_query_off_us", J.Float obs_off_us);
-                   ("obs_overhead_pct", J.Float obs_overhead_pct);
-                 ];
-             ] );
+             (J.Obj
+                [
+                  ("program", J.String name);
+                  ("differential", J.Bool (not large));
+                  ("races", J.Int li.Eng.l_races);
+                  ("cold_load_pre_work", J.Int load_pre_work);
+                  ("cold_load_wall_s", J.Float load_wall);
+                  ("edits", J.List edit_rows);
+                  ("fallback_cold", J.Int (Eng.fallback_total eng));
+                  ("mean_query_us", J.Float (mean !query_us));
+                  ("warm_edit_wall_s", J.Float warm_edit_wall);
+                  ("warm_speedup", J.Float warm_speedup);
+                  ("obs_query_on_us", J.Float obs_on_us);
+                  ("obs_query_off_us", J.Float obs_off_us);
+                  ("obs_overhead_pct", J.Float obs_overhead_pct);
+                ]
+             :: deep_row) );
        ])
 
 (* ------------------------------------------------------------------------- *)
@@ -1231,7 +1034,7 @@ let () =
       | "table1" -> table1 ()
       | "table2" -> table2 ()
       | "figure12" -> figure12 ()
-      | "par" -> if !size = "large" then par_large () else par ()
+      | "large" -> large ()
       | "vf" -> vf ()
       | "prov" -> prov_bench ()
       | "serve" -> serve_bench ()
@@ -1241,14 +1044,13 @@ let () =
         table1 ();
         table2 ();
         figure12 ();
-        par ();
         vf ();
         prov_bench ();
         serve_bench ();
         micro ()
       | other ->
         Printf.eprintf
-          "unknown command %S (table1|table2|figure12|par|vf|prov|serve|serveobs|micro|all)\n"
+          "unknown command %S (table1|table2|figure12|large|vf|prov|serve|serveobs|micro|all)\n"
           other;
         exit 1)
     cmds

@@ -327,6 +327,9 @@ let mk_state ?prov prog =
    is implicit in re-deriving the tables from the *new* program. *)
 let add_constraints t prog =
   let prov = t.prov in
+  (* complex constraints live on representatives, where [process] looks
+     them up: a warm start pre-unions surviving classes before this runs *)
+  let key v = rep t (node_of_var t v) in
   Prog.iter_funcs prog (fun f ->
       let fid = f.Func.fid in
       Func.iter_stmts f (fun idx s ->
@@ -338,26 +341,26 @@ let add_constraints t prog =
           | Stmt.Copy { dst; src } -> add_edge t (node_of_var t src) (node_of_var t dst)
           | Stmt.Phi { dst; srcs } ->
             List.iter (fun s -> add_edge t (node_of_var t s) (node_of_var t dst)) srcs
-          | Stmt.Load { dst; src } -> tbl_add t.loads (node_of_var t src) dst
-          | Stmt.Store { dst; src } -> tbl_add t.stores (node_of_var t dst) src
-          | Stmt.Gep { dst; src; field } -> tbl_add t.geps (node_of_var t src) (dst, field)
+          | Stmt.Load { dst; src } -> tbl_add t.loads (key src) dst
+          | Stmt.Store { dst; src } -> tbl_add t.stores (key dst) src
+          | Stmt.Gep { dst; src; field } -> tbl_add t.geps (key src) (dst, field)
           | Stmt.Call { target; args; ret } -> (
             let cs =
               { cs_fid = fid; cs_idx = idx; cs_args = args; cs_ret = ret; cs_fork = false }
             in
             match target with
             | Stmt.Direct f -> connect t cs f
-            | Stmt.Indirect v -> tbl_add t.icalls (node_of_var t v) cs)
+            | Stmt.Indirect v -> tbl_add t.icalls (key v) cs)
           | Stmt.Fork { handle; target; args; fork_id } -> (
             (match handle with
-            | Some h -> tbl_add t.forks (node_of_var t h) fork_id
+            | Some h -> tbl_add t.forks (key h) fork_id
             | None -> ());
             let cs =
               { cs_fid = fid; cs_idx = idx; cs_args = args; cs_ret = None; cs_fork = true }
             in
             match target with
             | Stmt.Direct f -> fork_of_stmt t cs fork_id f
-            | Stmt.Indirect v -> tbl_add t.icalls (node_of_var t v) cs)
+            | Stmt.Indirect v -> tbl_add t.icalls (key v) cs)
           | Stmt.Return _ | Stmt.Join _ | Stmt.Lock _ | Stmt.Unlock _ | Stmt.Nop _ -> ()))
 
 (* Fixpoint: waves of difference propagation punctuated by PWC/cycle

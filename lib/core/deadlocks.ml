@@ -23,35 +23,28 @@ let lock_order_edges d =
   done;
   !edges
 
-let detect ?(jobs = 1) d =
+let detect d =
   let edges = Array.of_list (lock_order_edges d) in
   let mhp = d.Driver.mhp in
   let tm = d.Driver.tm in
-  let chunks =
-    (* every edge scans the whole edge array for its reverse pair *)
-    Fsam_par.run_chunks ~label:"deadlocks"
-      ~weight:(fun _ -> Array.length edges)
-      ~jobs ~n:(Array.length edges)
-      (fun ~lo ~hi ->
-        let acc = ref [] in
-        for x = lo to hi - 1 do
-          let a, b, i = edges.(x) in
-          Array.iter
-            (fun (a', b', j) ->
-              if a' = b && b' = a && a < a' && Mta.Mhp.mhp_inst mhp i j then
-                acc :=
-                  {
-                    lock_a = a;
-                    lock_b = b;
-                    site_ab = (Mta.Threads.inst tm i).Mta.Threads.i_gid;
-                    site_ba = (Mta.Threads.inst tm j).Mta.Threads.i_gid;
-                  }
-                  :: !acc)
-            edges
-        done;
-        !acc)
-  in
-  List.sort_uniq compare (List.concat chunks)
+  (* every edge scans the whole edge array for its reverse pair *)
+  let found = ref [] in
+  Array.iter
+    (fun (a, b, i) ->
+      Array.iter
+        (fun (a', b', j) ->
+          if a' = b && b' = a && a < a' && Mta.Mhp.mhp_inst mhp i j then
+            found :=
+              {
+                lock_a = a;
+                lock_b = b;
+                site_ab = (Mta.Threads.inst tm i).Mta.Threads.i_gid;
+                site_ba = (Mta.Threads.inst tm j).Mta.Threads.i_gid;
+              }
+              :: !found)
+        edges)
+    edges;
+  List.sort_uniq compare !found
 
 let pp_deadlock d ppf dl =
   let prog = d.Driver.prog in

@@ -14,10 +14,8 @@ type deadlock = {
   site_ba : int;  (** gid acquiring [lock_a] while holding [lock_b] *)
 }
 
-val detect : ?jobs:int -> Driver.t -> deadlock list
-(** Sorted, deduplicated. [jobs] (default 1) fans the quadratic edge×edge
-    pass out over that many domains; the findings are identical for every
-    [jobs] value. *)
+val detect : Driver.t -> deadlock list
+(** Sorted, deduplicated. *)
 
 val pp_deadlock : Driver.t -> Format.formatter -> deadlock -> unit
 (** Human-readable rendering, as printed by [fsam deadlocks]. *)

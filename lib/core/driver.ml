@@ -9,7 +9,6 @@ type config = {
   svfg : Svfg.config;
   max_ctx_depth : int;
   nonsparse_budget : float;
-  jobs : int;
   provenance : bool;
   profile : bool;
 }
@@ -19,7 +18,6 @@ let default_config =
     svfg = Svfg.default_config;
     max_ctx_depth = 24;
     nonsparse_budget = 7200.;
-    jobs = 1;
     provenance = false;
     profile = false;
   }
@@ -133,7 +131,7 @@ let run ?(config = default_config) ?warm prog =
       in
       let mhp, sp_mhp =
         Obs.Span.with_timed ~name:"phase.mhp" (fun () ->
-            try_warm (fun h -> h.wh_mhp tm) (fun () -> Mta.Mhp.compute ~jobs:config.jobs tm))
+            try_warm (fun h -> h.wh_mhp tm) (fun () -> Mta.Mhp.compute tm))
       in
       let locks, sp_lock =
         Obs.Span.with_timed ~name:"phase.locks" (fun () ->
@@ -147,8 +145,7 @@ let run ?(config = default_config) ?warm prog =
             try_warm
               (fun h -> h.wh_svfg prog ast modref icfg tm mhp locks pcg)
               (fun () ->
-                Svfg.build ~config:config.svfg ~jobs:config.jobs ?prov prog ast modref icfg tm
-                  mhp locks pcg))
+                Svfg.build ~config:config.svfg ?prov prog ast modref icfg tm mhp locks pcg))
       in
       let (singleton, sparse), sp_solve =
         Obs.Span.with_timed ~name:"phase.solve" (fun () ->

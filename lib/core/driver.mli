@@ -8,24 +8,15 @@ type config = {
   svfg : Fsam_memssa.Svfg.config;
   max_ctx_depth : int;
   nonsparse_budget : float;  (** seconds before NonSparse reports OOT *)
-  jobs : int;
-      (** domain count for the parallelisable passes (MHP sibling seeding
-          and the SVFG's [THREAD-VF] pair discovery here; the CLI also
-          hands it to the leak and deadlock clients). [1] (the default) is the
-          exact serial path; [0] means [Fsam_par.available_jobs ()].
-          Results are identical for every value. *)
   provenance : bool;
       (** record derivation reasons for every points-to fact, SVFG edge and
           [THREAD-VF] pair verdict (see [Fsam_prov] and [Explain]). Default
-          [false]; analysis results are byte-identical either way (including
-          under [jobs]), and the disabled hot paths allocate nothing. *)
+          [false]; analysis results are byte-identical either way, and the
+          disabled hot paths allocate nothing. *)
   profile : bool;
-      (** enable the execution profiler: per-domain [Fsam_obs.Timeline]
-          rings in the parallel regions, the [Sparse] convergence monitor,
-          and per-domain gauges (see [Fsam_obs.Profile]). Default [false];
-          purely observational — analysis results are byte-identical with
-          it on or off, and the disabled path costs one atomic load per
-          probe site. *)
+      (** enable the execution profiler: the [Sparse] convergence monitor
+          (see [Fsam_obs.Profile]). Default [false]; purely observational —
+          analysis results are byte-identical with it on or off. *)
 }
 
 val default_config : config

@@ -6,8 +6,8 @@ open Fsam_ir
 
     Every query here is read-only over a finished {!Driver.t}; queries that
     need recorded provenance return [None] (or {!Unrecorded}) when the run
-    was made with [config.provenance = false]. All output is deterministic —
-    independent of [config.jobs] — because the recorder itself is. *)
+    was made with [config.provenance = false]. All output is deterministic
+    because the recorder itself is. *)
 
 (* Points-to derivation chains -------------------------------------------- *)
 

@@ -20,7 +20,7 @@ let repeats d g =
        (fun iid -> Mta.Threads.is_multi d.Driver.tm (Mta.Threads.inst d.Driver.tm iid).Mta.Threads.i_thread)
        (Mta.Threads.insts_of_gid d.Driver.tm g)
 
-let detect ?(jobs = 1) d =
+let detect d =
   let prog = d.Driver.prog in
   (* free sites and the heap objects they may release *)
   let free_sites = ref [] in
@@ -51,23 +51,15 @@ let detect ?(jobs = 1) d =
     !live_heap;
   (* double free: two distinct free sites may release the same object, or a
      single site that can execute repeatedly *)
-  let chunks =
-    (* triangular pair scan: site [i] probes the [n - i - 1] sites after it *)
-    Fsam_par.run_chunks ~label:"leaks"
-      ~weight:(fun i -> Array.length sites - i)
-      ~jobs ~n:(Array.length sites) (fun ~lo ~hi ->
-        let acc = ref [] in
-        for i = lo to hi - 1 do
-          let g1, s1 = sites.(i) in
-          for j = i + 1 to Array.length sites - 1 do
-            let g2, s2 = sites.(j) in
-            Iset.iter (fun o -> if Iset.mem o s2 then acc := Double_free (o, g1, g2) :: !acc) s1
-          done;
-          if repeats d g1 then Iset.iter (fun o -> acc := Double_free (o, g1, g1) :: !acc) s1
-        done;
-        !acc)
-  in
-  List.sort_uniq compare (!findings @ List.concat chunks)
+  for i = 0 to Array.length sites - 1 do
+    let g1, s1 = sites.(i) in
+    for j = i + 1 to Array.length sites - 1 do
+      let g2, s2 = sites.(j) in
+      Iset.iter (fun o -> if Iset.mem o s2 then findings := Double_free (o, g1, g2) :: !findings) s1
+    done;
+    if repeats d g1 then Iset.iter (fun o -> findings := Double_free (o, g1, g1) :: !findings) s1
+  done;
+  List.sort_uniq compare !findings
 
 let pp_finding d ppf = function
   | Never_freed o ->

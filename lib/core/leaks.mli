@@ -15,10 +15,8 @@
 type finding = Never_freed of int | Double_free of int * int * int
 (** [Never_freed heap_obj]; [Double_free (heap_obj, gid1, gid2)]. *)
 
-val detect : ?jobs:int -> Driver.t -> finding list
-(** Sorted, deduplicated. [jobs] (default 1) fans the quadratic site×site
-    pass out over that many domains; the findings are identical for every
-    [jobs] value. *)
+val detect : Driver.t -> finding list
+(** Sorted, deduplicated. *)
 
 val pp_finding : Driver.t -> Format.formatter -> finding -> unit
 (** Human-readable rendering, as printed by [fsam leaks]. *)

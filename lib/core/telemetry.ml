@@ -51,7 +51,7 @@ let write_json path j =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> J.to_channel oc j)
 
 let write_trace path =
-  Obs.Trace.write ~timelines:(Obs.Timeline.collected ()) path (Obs.Span.roots ())
+  Obs.Trace.write path (Obs.Span.roots ())
 
 (* Crash flush mirroring [Obs.Trace.flush_at_exit]: an aborted run still
    leaves a telemetry document marked ["partial"] with whatever metrics and

@@ -78,10 +78,5 @@ val union_memo_stats : unit -> int * int
 val live_nodes : unit -> int
 (** Number of nodes currently live in the hash-cons table. *)
 
-val intern_contention : unit -> int
-(** Number of times {e the calling domain} found an intern-table stripe
-    lock already held (cumulative since the domain started). The parallel
-    profiler reads deltas around each chunk. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [{1, 2, 3}]. *)

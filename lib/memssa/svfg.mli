@@ -19,13 +19,7 @@ open Fsam_ir
     (Definitions 4–6). The [config] selects the paper's ablations:
     No-Interleaving (PCG instead of the interleaving analysis),
     No-Value-Flow (common-target requirement dropped), No-Lock (filter
-    disabled).
-
-    [THREAD-VF] pair discovery is pure over the thread-oblivious snapshot
-    and fans out per object across domains when [build ~jobs] exceeds 1;
-    the per-chunk results are applied serially in chunk order, so the edge
-    set, the racy-store sets and every counter are identical for all [jobs]
-    values. *)
+    disabled). *)
 
 type node =
   | Stmt_node of int  (** statement gid: loads, stores, fork-handle chis *)
@@ -45,7 +39,6 @@ type t
 
 val build :
   ?config:config ->
-  ?jobs:int ->
   ?prov:Fsam_prov.t ->
   Prog.t ->
   Fsam_andersen.Solver.t ->
@@ -92,7 +85,7 @@ val digest : t -> string
     unprotected pair rows). Keys are structural — gids, fids and object
     ids, never intern-order node indices — so an incrementally patched
     graph digests equal to a cold rebuild iff they denote the same graph.
-    Used by the jobs-invariance tests and the serve differential mode. *)
+    Used by the serve differential mode and the snapshot restore check. *)
 
 val node_key : t -> int -> string
 (** Stable textual key of a node's structure (gid / fid / object id, never
@@ -112,7 +105,6 @@ type patch_stats = {
 val patch :
   t ->
   ?config:config ->
-  ?jobs:int ->
   prog:Prog.t ->
   old_ast:Fsam_andersen.Solver.t ->
   ast:Fsam_andersen.Solver.t ->

@@ -71,7 +71,7 @@ let build_summaries tm facts =
   Obs.Metrics.(add (counter "mhp.summaries_computed") (Hashtbl.length tbl));
   tbl
 
-let compute ?(jobs = 1) tm =
+let compute tm =
   let n = Threads.n_insts tm in
   let facts = Array.make n Iset.empty in
   let queue = Queue.create () in
@@ -100,37 +100,19 @@ let compute ?(jobs = 1) tm =
         if not (Iset.is_empty anc) then
           List.iter (fun e -> add e anc) (Threads.entry_insts tm tid)
       done;
-      (* [I-SIBLING]: the sibling / happens-before queries are read-only and
-         quadratic in thread count, so they fan out over domains; the ordered
-         merge then seeds [facts] serially in exactly the order the serial
-         double loop would, keeping the fixpoint's work order — and so the
-         iteration metrics — identical for every [jobs] value. *)
-      if Fsam_par.resolve_jobs jobs > 1 then
-        (* [happens_before] forces the lazy instance graph; force it here,
-           before domains could race on the thunk *)
-        ignore (Threads.inst_graph tm);
-      let sibling_pairs =
-        (* triangular: thread [a] is probed against the [nt - a - 1] later ones *)
-        Fsam_par.run_chunks ~label:"mhp.siblings"
-          ~weight:(fun a -> nt - a)
-          ~jobs ~n:nt (fun ~lo ~hi ->
-            let acc = ref [] in
-            for a = hi - 1 downto lo do
-              for b = nt - 1 downto a + 1 do
-                if
-                  Threads.siblings tm a b
-                  && (not (Threads.happens_before tm a b))
-                  && not (Threads.happens_before tm b a)
-                then acc := (a, b) :: !acc
-              done
-            done;
-            !acc)
-      in
-      List.iter
-        (List.iter (fun (a, b) ->
-             List.iter (fun e -> add e (Iset.singleton b)) (Threads.entry_insts tm a);
-             List.iter (fun e -> add e (Iset.singleton a)) (Threads.entry_insts tm b)))
-        sibling_pairs;
+      (* [I-SIBLING] *)
+      for a = 0 to nt - 1 do
+        for b = a + 1 to nt - 1 do
+          if
+            Threads.siblings tm a b
+            && (not (Threads.happens_before tm a b))
+            && not (Threads.happens_before tm b a)
+          then begin
+            List.iter (fun e -> add e (Iset.singleton b)) (Threads.entry_insts tm a);
+            List.iter (fun e -> add e (Iset.singleton a)) (Threads.entry_insts tm b)
+          end
+        done
+      done;
       (* [I-DESCENDANT] first conclusion is seeded flow-sensitively below: a
          fork's out-fact includes the spawned descendant closure even when the
          in-fact is empty, so prime every fork instance. *)

@@ -34,16 +34,13 @@ type stats = {
       (** per-group/per-thread probes performed by the indexed layer *)
   mutable inst_checks : int;  (** per-instance fact probes actually performed *)
 }
-(** Work tallies for the query layer. Plain mutable records so parallel
-    callers can count into a chunk-local instance and merge after the join
-    (the process-global metrics registry is not domain-safe). *)
+(** Work tallies for the query layer. Plain mutable records: the caller
+    counts into its own instance and flushes the totals to the metrics
+    registry once. *)
 
 val fresh_stats : unit -> stats
 
-val compute : ?jobs:int -> Threads.t -> t
-(** [jobs] (default 1) fans the quadratic [I-SIBLING] seeding queries out
-    over that many domains; the seeding order — and hence the fixpoint's
-    facts and iteration count — is identical for every [jobs] value. *)
+val compute : Threads.t -> t
 
 val interference : t -> int -> Fsam_dsa.Iset.t
 (** [I(t,c,s)] for an instance id. *)

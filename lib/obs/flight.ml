@@ -1,6 +1,6 @@
 (* Flight recorder: a fixed-size ring journaling the last N request
-   summaries of the serve daemon. Same single-writer flat-int discipline as
-   [Timeline]: [note] writes all slot fields before bumping [n], so a
+   summaries of the serve daemon, one flat int array with a single writer:
+   [note] writes all slot fields before bumping [n], so a
    reader on the writer's thread (the dump op, the crash flush, a SIGUSR1
    handler — all run at safepoints of the protocol thread) never sees a
    torn entry. Strings (op names, error codes) are interned into a
@@ -93,7 +93,7 @@ let entry_at t base =
     f_bytes_out = t.buf.(base + 10);
   }
 
-(* Oldest-first, like [Timeline.events]. *)
+(* Oldest-first. *)
 let entries t =
   let live = min t.n t.cap in
   let first = if t.n > t.cap then t.n mod t.cap else 0 in

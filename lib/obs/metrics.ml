@@ -100,13 +100,6 @@ let quantile h q =
     go 0 0
   end
 
-(* Removal is for re-recorded families (per-domain [par.*.domain<i>.*]
-   gauges): a later run of the same region with fewer lanes must not leave
-   the dead lanes' values behind in the snapshot. *)
-let remove_matching ?(reg = global) p =
-  let doomed = Hashtbl.fold (fun name _ acc -> if p name then name :: acc else acc) reg [] in
-  List.iter (Hashtbl.remove reg) doomed
-
 let find_counter ?(reg = global) name =
   match Hashtbl.find_opt reg name with Some (C c) -> Some c.c_value | _ -> None
 

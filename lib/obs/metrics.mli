@@ -60,13 +60,6 @@ val quantile : histogram -> float -> int
 val reset : ?reg:registry -> unit -> unit
 (** Empty the registry. *)
 
-val remove_matching : ?reg:registry -> (string -> bool) -> unit
-(** Remove every metric whose name satisfies the predicate. Handles already
-    held for a removed name keep working but are no longer exported — the
-    same contract as {!reset}. Meant for re-recorded families (e.g. the
-    per-domain [par.<region>.domain<i>.*] gauges, which would otherwise go
-    stale when a later run of the region uses fewer lanes). *)
-
 val find_counter : ?reg:registry -> string -> int option
 val find_gauge : ?reg:registry -> string -> int option
 val find_histogram : ?reg:registry -> string -> histogram option

@@ -1,8 +1,7 @@
-(** Monotonic clock reads for durations and timeline timestamps.
+(** Monotonic clock reads for durations.
 
     [Unix.gettimeofday] is subject to NTP steps; a step between two reads
-    yields a negative duration that corrupts imbalance percentages and
-    profiler lanes. These readings come from [clock_gettime(CLOCK_MONOTONIC)]
+    yields a negative duration. These readings come from [clock_gettime(CLOCK_MONOTONIC)]
     and never go backwards; the elapsed helpers additionally clamp at 0 as
     defence in depth (e.g. against a non-monotonic fallback clock). Use the
     monotonic clock for every duration; keep [Unix.gettimeofday] only for

@@ -1,8 +1,7 @@
-/* Monotonic clock for span/chunk timing.
+/* Monotonic clock for span timing.
 
    Unix.gettimeofday is wall-clock time: an NTP step (or a manual clock
-   change) between two reads yields a negative duration, which corrupted
-   imbalance_pct and produced Perfetto lanes that travel backwards.
+   change) between two reads yields a negative duration.
    CLOCK_MONOTONIC never steps; nanoseconds since boot fit comfortably in
    OCaml's 63-bit int (2^62 ns is ~146 years), so the reading is returned
    as an immediate — no allocation, [@@noalloc] on the OCaml side. */

@@ -1,7 +1,5 @@
 (* Deep-profiling state: the sparse solver's convergence curve, stall
-   warnings, and derived views (span hotspots, per-lane utilization of the
-   parallel regions). All recording happens on the main domain — worker
-   domains only ever write their own Timeline ring. *)
+   warnings, and the span-hotspot view. Main-domain only. *)
 
 type sample = {
   s_prop : int; (* solver propagations at sample time *)
@@ -17,8 +15,9 @@ type stall = {
   st_samples : int; (* consecutive zero-progress samples *)
 }
 
-let set_enabled = Timeline.set_enabled
-let enabled = Timeline.enabled
+let enabled_ref = ref false
+let set_enabled b = enabled_ref := b
+let enabled () = !enabled_ref
 
 let samples_rev : sample list ref = ref []
 let stalls_rev : stall list ref = ref []
@@ -34,8 +33,7 @@ let stalls () = List.rev !stalls_rev
 let reset () =
   samples_rev := [];
   stalls_rev := [];
-  sample_interval_ref := 0;
-  Timeline.reset ()
+  sample_interval_ref := 0
 
 (* -- span hotspots --------------------------------------------------------- *)
 
@@ -92,112 +90,6 @@ let hotspots forest =
          | 0 -> compare a.hs_name b.hs_name
          | c -> c)
 
-(* -- per-region lane utilization ------------------------------------------ *)
-
-type lane_stat = {
-  ls_lane : int;
-  ls_start_us : int;
-  ls_stop_us : int;
-  ls_busy_us : int;
-  ls_lo : int;
-  ls_hi : int; (* item key range of the chunk *)
-  ls_items : int;
-  ls_events : int;
-  ls_dropped : int;
-  ls_contention : int;
-}
-
-type region_stat = {
-  rs_region : string;
-  rs_wall_us : int; (* last chunk_stop minus first chunk_start *)
-  rs_lanes : lane_stat list;
-}
-
-(* A lane may execute several blocks under the adaptive scheduler, so it
-   records one chunk_start/stop pair per block: the lane's item range is
-   the envelope of the block ranges, items and contention are summed over
-   the stops, and the busy window runs from the first start to the last
-   stop. Single-chunk rings (the chunked path) degenerate to the same
-   values as before. *)
-let lane_stat_of_ring (r : Timeline.ring) =
-  let start_us = ref max_int
-  and stop_us = ref min_int
-  and lo = ref max_int
-  and hi = ref 0
-  and items = ref 0
-  and contention = ref 0 in
-  List.iter
-    (fun (t, k, a, b) ->
-      if k = Timeline.k_chunk_start then begin
-        if t < !start_us then start_us := t;
-        if a < !lo then lo := a;
-        if b > !hi then hi := b
-      end
-      else if k = Timeline.k_chunk_stop then begin
-        if t > !stop_us then stop_us := t;
-        items := !items + a;
-        contention := !contention + b
-      end)
-    (Timeline.events r);
-  let lo = if !lo = max_int then ref 0 else lo in
-  let start_us = if !start_us = max_int then 0 else !start_us in
-  let stop_us = if !stop_us = min_int then start_us else !stop_us in
-  {
-    ls_lane = r.Timeline.lane;
-    ls_start_us = start_us;
-    ls_stop_us = stop_us;
-    ls_busy_us = max 0 (stop_us - start_us);
-    ls_lo = !lo;
-    ls_hi = !hi;
-    ls_items = !items;
-    ls_events = Timeline.n_recorded r;
-    ls_dropped = Timeline.dropped r;
-    ls_contention = !contention;
-  }
-
-let regions () =
-  let by_region : (string, lane_stat list) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (r : Timeline.ring) ->
-      let ls = lane_stat_of_ring r in
-      match Hashtbl.find_opt by_region r.Timeline.region with
-      | Some l -> Hashtbl.replace by_region r.Timeline.region (ls :: l)
-      | None ->
-        order := r.Timeline.region :: !order;
-        Hashtbl.replace by_region r.Timeline.region [ ls ])
-    (Timeline.collected ());
-  List.rev_map
-    (fun region ->
-      let lanes =
-        List.sort (fun a b -> compare a.ls_lane b.ls_lane)
-          (Hashtbl.find by_region region)
-      in
-      let first_start =
-        List.fold_left (fun acc l -> min acc l.ls_start_us) max_int lanes
-      in
-      let last_stop = List.fold_left (fun acc l -> max acc l.ls_stop_us) 0 lanes in
-      {
-        rs_region = region;
-        rs_wall_us = (if first_start = max_int then 0 else max 0 (last_stop - first_start));
-        rs_lanes = lanes;
-      })
-    !order
-
-let utilization_pct rs =
-  match rs.rs_lanes with
-  | [] -> 100
-  | lanes ->
-    let busy = List.fold_left (fun acc l -> acc + l.ls_busy_us) 0 lanes in
-    let span = rs.rs_wall_us * List.length lanes in
-    if span <= 0 then 100 else 100 * busy / span
-
-let dominant_lane rs =
-  match rs.rs_lanes with
-  | [] -> None
-  | l :: rest ->
-    Some (List.fold_left (fun acc x -> if x.ls_busy_us > acc.ls_busy_us then x else acc) l rest)
-
 (* -- JSON ------------------------------------------------------------------ *)
 
 let schema = "fsam.profile/1"
@@ -220,30 +112,6 @@ let stall_json st =
       ("samples", Json.Int st.st_samples);
     ]
 
-let lane_json l =
-  Json.Obj
-    [
-      ("lane", Json.Int l.ls_lane);
-      ("start_us", Json.Int l.ls_start_us);
-      ("stop_us", Json.Int l.ls_stop_us);
-      ("busy_us", Json.Int l.ls_busy_us);
-      ("lo", Json.Int l.ls_lo);
-      ("hi", Json.Int l.ls_hi);
-      ("items", Json.Int l.ls_items);
-      ("events", Json.Int l.ls_events);
-      ("dropped", Json.Int l.ls_dropped);
-      ("contention", Json.Int l.ls_contention);
-    ]
-
-let region_json rs =
-  Json.Obj
-    [
-      ("region", Json.String rs.rs_region);
-      ("wall_us", Json.Int rs.rs_wall_us);
-      ("utilization_pct", Json.Int (utilization_pct rs));
-      ("lanes", Json.List (List.map lane_json rs.rs_lanes));
-    ]
-
 let to_json () =
   Json.Obj
     [
@@ -255,6 +123,4 @@ let to_json () =
             ("samples", Json.List (List.map sample_json (samples ())));
             ("stalls", Json.List (List.map stall_json (stalls ())));
           ] );
-      ("regions", Json.List (List.map region_json (regions ())));
-      ("timelines", Timeline.to_json ());
     ]

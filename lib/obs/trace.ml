@@ -1,13 +1,6 @@
-(* Chrome trace_event export (chrome://tracing, Perfetto).
-
-   The span tree runs on the calling domain and is emitted on pid 1 /
-   tid 1; profiled parallel regions additionally contribute one lane per
-   chunk domain (tid = lane + 1, named by a thread_name metadata event so
-   Perfetto labels them "domain 1", "domain 2", ...) with an X event per
-   chunk and counter tracks for per-item progress and intern-table
-   contention. Timeline timestamps are relative to [Timeline.epoch]; spans
-   are absolute — both are rebased onto one origin so lanes line up with
-   the phase spans that spawned them. *)
+(* Chrome trace_event export (chrome://tracing, Perfetto): the span tree,
+   emitted on pid 1 / tid 1, with timestamps relative to the earliest root
+   span. *)
 
 let span_events ~t0 forest =
   let events = ref [] in
@@ -36,146 +29,21 @@ let span_events ~t0 forest =
   List.iter go forest;
   List.rev !events
 
-let metadata ~name ~tid args =
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("ph", Json.String "M");
-      ("pid", Json.Int 1);
-      ("tid", Json.Int tid);
-      ("args", Json.Obj args);
-    ]
-
-(* One lane per chunk domain: lane 0 is the calling domain (tid 1), lane l
-   is tid l + 1. [shift_us] rebases Timeline-relative timestamps onto the
-   trace origin. *)
-let ring_events ~shift_us (r : Timeline.ring) =
-  let tid = r.Timeline.lane + 1 in
-  let region = r.Timeline.region in
-  let events = ref [] in
-  let push e = events := e :: !events in
-  let counter ~ts name v =
-    push
-      (Json.Obj
-         [
-           ("name", Json.String name);
-           ("ph", Json.String "C");
-           ("ts", Json.Float (float_of_int (ts + shift_us)));
-           ("pid", Json.Int 1);
-           ("tid", Json.Int tid);
-           ("args", Json.Obj [ ("value", Json.Int v) ]);
-         ])
-  in
-  let instant ~ts name args =
-    push
-      (Json.Obj
-         [
-           ("name", Json.String name);
-           ("ph", Json.String "i");
-           ("s", Json.String "t");
-           ("ts", Json.Float (float_of_int (ts + shift_us)));
-           ("pid", Json.Int 1);
-           ("tid", Json.Int tid);
-           ("args", Json.Obj args);
-         ])
-  in
-  let start = ref None in
-  let items_done = ref 0 in
-  List.iter
-    (fun (t, k, a, b) ->
-      if k = Timeline.k_chunk_start then start := Some (t, a, b)
-      else if k = Timeline.k_chunk_stop then begin
-        let ts, lo, hi = Option.value ~default:(t, 0, 0) !start in
-        push
-          (Json.Obj
-             [
-               ("name", Json.String (Printf.sprintf "%s chunk %d" region r.Timeline.lane));
-               ("cat", Json.String "fsam.par");
-               ("ph", Json.String "X");
-               ("ts", Json.Float (float_of_int (ts + shift_us)));
-               ("dur", Json.Float (float_of_int (max 0 (t - ts))));
-               ("pid", Json.Int 1);
-               ("tid", Json.Int tid);
-               ( "args",
-                 Json.Obj
-                   [
-                     ("lo", Json.Int lo);
-                     ("hi", Json.Int hi);
-                     ("items", Json.Int a);
-                     ("contention", Json.Int b);
-                     ("dropped", Json.Int (Timeline.dropped r));
-                   ] );
-             ])
-      end
-      else if k = Timeline.k_item then begin
-        incr items_done;
-        counter ~ts:t
-          (Printf.sprintf "%s items (domain %d)" region r.Timeline.lane)
-          !items_done
-      end
-      else if k = Timeline.k_contention then
-        counter ~ts:t
-          (Printf.sprintf "intern contention (domain %d)" r.Timeline.lane)
-          a
-      else if k = Timeline.k_merge then
-        instant ~ts:t
-          (Printf.sprintf "%s merge" region)
-          [ ("lane", Json.Int a); ("wall_us", Json.Int b) ]
-      else if k = Timeline.k_absorb then
-        instant ~ts:t
-          (Printf.sprintf "%s absorb" region)
-          [ ("chunk", Json.Int a); ("units", Json.Int b) ])
-    (Timeline.events r);
-  List.rev !events
-
-let to_json ?(timelines = []) forest =
-  let t0_spans =
+let to_json forest =
+  let t0 =
     List.fold_left (fun acc sp -> Float.min acc sp.Span.start_s) Float.infinity forest
   in
-  (* With timelines, the Timeline epoch (armed at Driver entry, before any
-     span opens) is the natural origin; without, keep the legacy
-     earliest-span origin so plain span traces are unchanged. *)
-  let t0 =
-    if timelines = [] then t0_spans else Float.min (Timeline.epoch ()) t0_spans
-  in
-  let shift_us =
-    if timelines = [] then 0
-    else int_of_float ((Timeline.epoch () -. t0) *. 1e6)
-  in
-  let lanes =
-    List.sort_uniq compare (List.map (fun r -> r.Timeline.lane) timelines)
-  in
-  let meta =
-    if timelines = [] then []
-    else
-      metadata ~name:"process_name" ~tid:1 [ ("name", Json.String "fsam") ]
-      :: List.map
-           (fun l ->
-             metadata ~name:"thread_name" ~tid:(l + 1)
-               [
-                 ( "name",
-                   Json.String
-                     (if l = 0 then "domain 0 (main)"
-                      else Printf.sprintf "domain %d" l) );
-               ])
-           lanes
-  in
-  let events =
-    meta
-    @ span_events ~t0 forest
-    @ List.concat_map (ring_events ~shift_us) timelines
-  in
   Json.Obj
     [
-      ("traceEvents", Json.List events);
+      ("traceEvents", Json.List (span_events ~t0 forest));
       ("displayTimeUnit", Json.String "ms");
     ]
 
-let write ?timelines path forest =
+let write path forest =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Json.to_channel ~minify:true oc (to_json ?timelines forest))
+    (fun () -> Json.to_channel ~minify:true oc (to_json forest))
 
 (* Crash flush: once armed, process exit (normal return, uncaught exception,
    [exit]) writes whatever spans exist — including still-open ones via
@@ -188,7 +56,7 @@ let flush_now () =
   | None -> ()
   | Some path ->
     pending := None;
-    (try write ~timelines:(Timeline.collected ()) path (Span.snapshot ())
+    (try write path (Span.snapshot ())
      with Sys_error _ -> ())
 
 let flush_at_exit path =

@@ -2,20 +2,11 @@
     object format ({["traceEvents": [...]]}) that [chrome://tracing] and
     {{:https://ui.perfetto.dev}Perfetto} open directly. Each span becomes a
     complete ("ph": "X") event on pid 1 / tid 1; timestamps are
-    microseconds relative to the earliest root span.
+    microseconds relative to the earliest root span. *)
 
-    With [?timelines] (profiled runs), each {!Timeline.ring} contributes a
-    lane on tid [lane + 1]: thread_name metadata events label the lanes
-    ("domain 0 (main)", "domain 1", ...), every chunk becomes an X event
-    carrying its index range / item count / contention, per-item progress
-    and intern-table contention become counter ("C") tracks, and
-    merge/absorb events become instants — so slow chunks and idle domains
-    are visible at a glance in Perfetto. Without timelines the output is
-    byte-identical to the span-only format. *)
+val to_json : Span.t list -> Json.t
 
-val to_json : ?timelines:Timeline.ring list -> Span.t list -> Json.t
-
-val write : ?timelines:Timeline.ring list -> string -> Span.t list -> unit
+val write : string -> Span.t list -> unit
 (** Write [to_json] of the forest to a file (minified). *)
 
 val flush_at_exit : string -> unit

@@ -101,15 +101,3 @@ let find t ~space ~k1 ~k2 ~obj =
     let off = id * width in
     let a = t.arena in
     Some (a.(off + 4), a.(off + 5), a.(off + 6), a.(off + 7))
-
-let local () = create ()
-
-let iter t f =
-  for id = 0 to t.n - 1 do
-    let off = id * width in
-    let a = t.arena in
-    f ~space:a.(off) ~k1:a.(off + 1) ~k2:a.(off + 2) ~obj:a.(off + 3) ~tag:a.(off + 4)
-      ~x:a.(off + 5) ~y:a.(off + 6) ~z:a.(off + 7)
-  done
-
-let absorb dst src = iter src (add dst)

@@ -30,12 +30,7 @@
       candidate pair (store gid [k1], access gid [k2]) on object [obj]:
       kept ({!p_kept}), filtered by the lock-span non-interference test
       ({!p_filtered_lock}) or skipped because the statements never happen in
-      parallel ({!p_skipped_mhp}).
-
-    Recording composes with domain parallelism exactly like the rest of the
-    pipeline: workers record into {!local} chunk recorders which the
-    coordinator {!absorb}s in chunk order, so the recorded reasons are
-    byte-identical for every [--jobs] value. *)
+      parallel ({!p_skipped_mhp}). *)
 
 type t
 
@@ -127,17 +122,3 @@ val set : t -> space:int -> k1:int -> k2:int -> obj:int -> tag:int -> x:int -> y
 
 val find : t -> space:int -> k1:int -> k2:int -> obj:int -> (int * int * int * int) option
 (** [(tag, x, y, z)] of the recorded reason, if any. *)
-
-(* Parallel chunks -------------------------------------------------------- *)
-
-val local : unit -> t
-(** Fresh chunk-local recorder for a worker domain. *)
-
-val absorb : t -> t -> unit
-(** [absorb dst src] appends [src]'s records into [dst] in [src]'s record
-    order. [add]-style records keep first-reason semantics; records written
-    with {!set} in the chunk must be re-[set] by the caller if cross-chunk
-    replace order matters (the pipeline only [set]s from the serial path). *)
-
-val iter : t -> (space:int -> k1:int -> k2:int -> obj:int -> tag:int -> x:int -> y:int -> z:int -> unit) -> unit
-(** Iterate records in recording order. *)

@@ -169,6 +169,70 @@ let prop_min_elt =
       | Some m, x :: _ -> m = x
       | _ -> false)
 
+(* -- domain safety ---------------------------------------------------------- *)
+
+(* The intern table and union memo are shared by every domain (the serve
+   daemon's async-edit domain and the stats sampler run beside the protocol
+   thread): structurally equal sets must stay physically equal across
+   domains, with [hash]/[compare] consistent with [equal]. *)
+
+(* Each domain performs the same deterministic mix of constructions and
+   merges; hash-consing must canonicalise across domains, so the i-th result
+   of every domain is one physically equal node. *)
+let test_iset_concurrent_hashcons () =
+  let base = Iset.of_list (List.init 400 (fun i -> i * 3)) in
+  let other = Iset.of_list (List.init 400 (fun i -> (i * 5) + 1)) in
+  let work () =
+    List.init 250 (fun k ->
+        let a = Iset.add (k * 7) base in
+        let b = Iset.inter other (Iset.add ((k * 2) + 1) a) in
+        Iset.union (Iset.union a b) (Iset.of_list [ k; k + 1; k * 11 ]))
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn work) in
+  let per_domain = List.map Domain.join domains in
+  let reference = work () in
+  List.iteri
+    (fun d results ->
+      List.iteri
+        (fun i r ->
+          let expected = List.nth reference i in
+          if not (r == expected) then
+            Alcotest.failf "domain %d result %d not physically canonical" d i;
+          Alcotest.(check int) "hash agrees" (Iset.hash expected) (Iset.hash r);
+          Alcotest.(check int) "compare agrees" 0 (Iset.compare expected r);
+          Alcotest.(check bool) "equal agrees" true (Iset.equal expected r))
+        results)
+    per_domain;
+  (* the canonical nodes also carry correct contents *)
+  let r0 = List.nth reference 0 in
+  Alcotest.(check bool) "mem holds" true (Iset.mem 0 r0 && Iset.mem 11 (List.nth reference 1))
+
+let test_iset_concurrent_fixpoint_contract () =
+  (* [union a b == a] iff b ⊆ a must hold for unions computed on other
+     domains: the solver's fixpoint test depends on it *)
+  let a = Iset.of_list (List.init 300 (fun i -> i * 2)) in
+  let b = Iset.of_list (List.init 100 (fun i -> i * 4)) in
+  let checks () = List.init 50 (fun k -> Iset.union a (Iset.add (k * 4) b) == a) in
+  let domains = List.init 4 (fun _ -> Domain.spawn checks) in
+  List.iter
+    (fun d ->
+      List.iter (fun ok -> Alcotest.(check bool) "subset union is identity" true ok) (Domain.join d))
+    domains
+
+let prop_iset_concurrent_canonical =
+  QCheck.Test.make ~count:20 ~name:"concurrent union/inter canonical across domains"
+    QCheck.(pair (list_of_size Gen.(1 -- 60) (int_bound 500))
+              (list_of_size Gen.(1 -- 60) (int_bound 500)))
+    (fun (la, lb) ->
+      let work () =
+        let a = Iset.of_list la and b = Iset.of_list lb in
+        (Iset.union a b, Iset.inter a b, Iset.diff a b)
+      in
+      let domains = List.init 4 (fun _ -> Domain.spawn work) in
+      let results = List.map Domain.join domains in
+      let u0, i0, d0 = work () in
+      List.for_all (fun (u, i, d) -> u == u0 && i == i0 && d == d0) results)
+
 let suite =
   [
     Alcotest.test_case "basics" `Quick test_basics;
@@ -193,4 +257,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_as_singleton;
     QCheck_alcotest.to_alcotest prop_remove;
     QCheck_alcotest.to_alcotest prop_disjoint;
+    Alcotest.test_case "concurrent hash-consing" `Quick test_iset_concurrent_hashcons;
+    Alcotest.test_case "concurrent fixpoint contract" `Quick
+      test_iset_concurrent_fixpoint_contract;
+    QCheck_alcotest.to_alcotest prop_iset_concurrent_canonical;
   ]

@@ -1,29 +1,15 @@
 (* Execution-profiler tests:
 
-   - Timeline rings: fixed-width wraparound, oldest-first readout;
-   - Fsam_par integration: per-lane rings with correct chunk bounds,
-     cross-domain merge events in lane order, absorption determinism;
    - observation-only: analysis results byte-identical with profiling on
-     and off, and the profiled event stream deterministic at jobs=1 with
-     per-item event counts identical across jobs 1/2/4;
+     and off, and the convergence samples deterministic across runs;
    - convergence monitor: samples recorded with the documented interval;
    - histogram quantiles (p50/p95/p99) and the profile document's JSON
      round-trip (deterministic and qcheck-arbitrary). *)
 
 module D = Fsam_core.Driver
 module Obs = Fsam_obs
-module Tl = Obs.Timeline
 module P = Obs.Profile
 module J = Obs.Json
-
-let with_profiling f =
-  P.set_enabled true;
-  P.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      P.set_enabled false;
-      P.reset ())
-    f
 
 let word_count () =
   let spec = Option.get (Fsam_workloads.Suite.find "word_count") in
@@ -35,114 +21,22 @@ let word_count_full () =
   let spec = Option.get (Fsam_workloads.Suite.find "word_count") in
   spec.Fsam_workloads.Suite.build spec.Fsam_workloads.Suite.scale
 
-(* -- ring buffer ----------------------------------------------------------- *)
-
-let test_ring_wraparound () =
-  with_profiling (fun () ->
-      let r = Tl.create_ring ~cap:8 ~region:"t" ~lane:0 () in
-      for i = 0 to 19 do
-        Tl.record r ~kind:Tl.k_item ~a:i ~b:(i * 2)
-      done;
-      Alcotest.(check int) "recorded" 20 (Tl.n_recorded r);
-      Alcotest.(check int) "retained" 8 (Tl.n_events r);
-      Alcotest.(check int) "dropped" 12 (Tl.dropped r);
-      let keys = List.map (fun (_, _, a, _) -> a) (Tl.events r) in
-      (* oldest-first: the 8 youngest events, in recording order *)
-      Alcotest.(check (list int)) "oldest first" [ 12; 13; 14; 15; 16; 17; 18; 19 ] keys;
-      List.iter
-        (fun (_, k, a, b) ->
-          Alcotest.(check int) "kind" Tl.k_item k;
-          Alcotest.(check int) "payload" (a * 2) b)
-        (Tl.events r);
-      (* no wraparound below cap *)
-      let r2 = Tl.create_ring ~cap:8 ~region:"t" ~lane:1 () in
-      Tl.record r2 ~kind:Tl.k_item ~a:7 ~b:0;
-      Alcotest.(check int) "no drop" 0 (Tl.dropped r2);
-      Alcotest.(check int) "one event" 1 (Tl.n_events r2))
-
-(* -- cross-domain merge ordering ------------------------------------------- *)
-
-let test_par_merge_ordering () =
-  with_profiling (fun () ->
-      let n = 103 and jobs = 4 in
-      (* cutoff 0: one block per item, stolen across the four lanes *)
-      let sums =
-        Fsam_par.run_chunks ~label:"tmerge" ~cutoff:0 ~jobs ~n (fun ~lo ~hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              Tl.emit ~kind:Tl.k_item ~a:i ~b:0;
-              s := !s + i
-            done;
-            !s)
-      in
-      Alcotest.(check (list int)) "block order = serial traversal" (List.init n Fun.id) sums;
-      let rings =
-        List.filter (fun (r : Tl.ring) -> r.Tl.region = "tmerge") (Tl.collected ())
-      in
-      Alcotest.(check int) "one ring per lane" jobs (List.length rings);
-      Alcotest.(check (list int)) "lane order" [ 0; 1; 2; 3 ]
-        (List.map (fun (r : Tl.ring) -> r.Tl.lane) rings);
-      (* each block's item events sit between its chunk start and stop, on
-         whichever lane ran it; together the blocks cover [0, n) once *)
-      let blocks =
-        List.concat_map
-          (fun r ->
-            let rec walk acc = function
-              | (_, k, lo, hi) :: rest when k = Tl.k_chunk_start ->
-                let items = List.filteri (fun i _ -> i < hi - lo) rest in
-                Alcotest.(check (list (pair int int))) "block items"
-                  (List.init (hi - lo) (fun i -> (Tl.k_item, lo + i)))
-                  (List.map (fun (_, k, a, _) -> (k, a)) items);
-                walk ((lo, hi) :: acc) rest
-              | _ :: rest -> walk acc rest
-              | [] -> acc
-            in
-            walk [] (Tl.events r))
-          rings
-      in
-      let last =
-        List.fold_left
-          (fun prev (lo, hi) ->
-            Alcotest.(check int) "contiguous" prev lo;
-            hi)
-          0 (List.sort compare blocks)
-      in
-      Alcotest.(check int) "covers n" n last;
-      (* lane 0 recorded one merge event per worker, in join order *)
-      let merges =
-        List.filter_map
-          (fun (_, k, a, _) -> if k = Tl.k_merge then Some a else None)
-          (Tl.events (List.hd rings))
-      in
-      Alcotest.(check (list int)) "merge order" [ 1; 2; 3 ] merges)
-
 (* -- determinism ----------------------------------------------------------- *)
-
-let timeline_signature () =
-  List.map
-    (fun (r : Tl.ring) ->
-      ( r.Tl.region,
-        r.Tl.lane,
-        List.map (fun (_, k, a, b) -> (k, a, b)) (Tl.events r) ))
-    (Tl.collected ())
 
 (* The memo hit/miss fields depend on the union-memo's table state left by
    earlier in-process runs (tags differ per run), so a same-process replay
    compares everything but those. *)
 let sample_signature s = (s.P.s_prop, s.P.s_depth, s.P.s_facts, s.P.s_facts_delta)
 
-let test_profile_deterministic_j1 () =
+let test_profile_deterministic () =
   let prog = word_count_full () in
-  let config = { D.default_config with profile = true; jobs = 1 } in
+  let config = { D.default_config with profile = true } in
   let run () =
-    let d = D.run ~config prog in
-    let sig_ = timeline_signature () in
-    let samples = List.map sample_signature (P.samples ()) in
-    (d, sig_, samples)
+    ignore (D.run ~config prog);
+    List.map sample_signature (P.samples ())
   in
-  let _, sig1, samples1 = run () in
-  let _, sig2, samples2 = run () in
-  Alcotest.(check bool) "timeline signature deterministic" true (sig1 = sig2);
+  let samples1 = run () in
+  let samples2 = run () in
   Alcotest.(check bool) "convergence samples deterministic" true (samples1 = samples2);
   Alcotest.(check bool) "samples recorded" true (samples1 <> []);
   Alcotest.(check int) "interval" 512 (P.sample_interval ());
@@ -150,39 +44,6 @@ let test_profile_deterministic_j1 () =
     (fun (p, _, _, _) ->
       Alcotest.(check int) "sampled on the interval" 0 (p mod 512))
     samples1;
-  P.set_enabled false;
-  P.reset ()
-
-let test_item_events_identical_across_jobs () =
-  let prog = word_count () in
-  let region_items region =
-    List.concat_map
-      (fun (r : Tl.ring) ->
-        if r.Tl.region = region then
-          List.filter_map
-            (fun (_, k, a, _) -> if k = Tl.k_item then Some a else None)
-            (Tl.events r)
-        else [])
-      (Tl.collected ())
-  in
-  let per_jobs jobs =
-    let d = D.run ~config:{ D.default_config with profile = true; jobs } prog in
-    let svfg_items = List.sort compare (region_items "svfg.pairs") in
-    let races = Fsam_core.Races.detect d in
-    (svfg_items, races)
-  in
-  let base_items, base_races = per_jobs 1 in
-  Alcotest.(check bool) "svfg items recorded" true (base_items <> []);
-  List.iter
-    (fun jobs ->
-      let items, races = per_jobs jobs in
-      Alcotest.(check bool)
-        (Printf.sprintf "svfg item keys identical at jobs=%d" jobs)
-        true (items = base_items);
-      Alcotest.(check bool)
-        (Printf.sprintf "races identical at jobs=%d" jobs)
-        true (races = base_races))
-    [ 2; 4 ];
   P.set_enabled false;
   P.reset ()
 
@@ -240,9 +101,9 @@ let roundtrip doc =
   | Error e -> Alcotest.failf "parse error: %s" e
 
 let test_profile_doc_roundtrip () =
-  (* a real profiled run: rings, samples, the lot *)
+  (* a real profiled run: samples, stalls, the lot *)
   let prog = word_count () in
-  ignore (D.run ~config:{ D.default_config with profile = true; jobs = 2 } prog);
+  ignore (D.run ~config:{ D.default_config with profile = true } prog);
   let doc = P.to_json () in
   Alcotest.(check bool) "schema" true
     (J.member "schema" doc = Some (J.String P.schema));
@@ -281,21 +142,11 @@ let qcheck_profile_doc_roundtrip =
                (fun a ->
                  P.add_stall { P.st_prop = a.(0); st_samples = a.(1) })
                stalls;
-             Tl.with_ring ~cap:16 ~region:"qr" ~lane:0 (fun () ->
-                 List.iteri
-                   (fun i a ->
-                     Tl.emit ~kind:Tl.k_item ~a:i ~b:(Array.fold_left ( + ) 0 a))
-                   samples);
              roundtrip (P.to_json ()))))
 
 let suite =
   [
-    Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-    Alcotest.test_case "par merge ordering" `Quick test_par_merge_ordering;
-    Alcotest.test_case "profile deterministic at jobs=1" `Quick
-      test_profile_deterministic_j1;
-    Alcotest.test_case "item events identical across jobs" `Quick
-      test_item_events_identical_across_jobs;
+    Alcotest.test_case "profile deterministic" `Quick test_profile_deterministic;
     Alcotest.test_case "results identical profiling on/off" `Quick
       test_results_identical_profiling_on_off;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;

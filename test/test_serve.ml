@@ -1,6 +1,6 @@
 (* The serve layer: incremental edits must be byte-identical to cold runs
    (differential property over random programs and random single-function
-   edits, across --jobs values), snapshots must round-trip, the NDJSON
+   edits), snapshots must round-trip, the NDJSON
    protocol must answer and fail structurally, and the telemetry crash-flush
    arming around requests must be idempotent and disarmed between requests. *)
 
@@ -90,33 +90,6 @@ let test_edit_differential () =
   if !incremental < 10 then
     Alcotest.failf "only %d incremental edits across the sweep (%d cold, %d skipped)"
       !incremental !cold !skipped
-
-(* The same program + edit sequence through engines at --jobs 1/2/4 must
-   land on identical resident state. *)
-let test_edit_jobs_invariant () =
-  for seed = 0 to 3 do
-    let source = Fsam_workloads.Rand_minic.generate ~seed ~size:40 in
-    let edited = mutate ~k:(seed + 1) source in
-    let run jobs =
-      let eng = Engine.create ~jobs () in
-      match Engine.load eng source with
-      | Error e -> Alcotest.failf "seed %d jobs %d: load failed: %s" seed jobs e
-      | Ok _ -> (
-        match Engine.edit_source eng edited with
-        | Error _ -> None
-        | Ok _ -> Some (Engine.driver eng))
-    in
-    match (run 1, run 2, run 4) with
-    | Some d1, Some d2, Some d4 ->
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: jobs 1 vs 2" seed)
-        true (Engine.same_results d1 d2);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: jobs 1 vs 4" seed)
-        true (Engine.same_results d1 d4)
-    | None, None, None -> () (* mutation didn't lower under any engine *)
-    | _ -> Alcotest.failf "seed %d: edit viability differed across jobs" seed
-  done
 
 (* -- staged warm-edit sequence: per-phase reuse and invalidation ----------- *)
 
@@ -236,30 +209,6 @@ let test_edit_sequence_phases () =
       (List.exists
          (fun k -> List.mem k [ "locks_edit"; "locks_operand_drift" ])
          info.Engine.e_fallbacks)
-
-(* The same staged sequence at --jobs 1/2/4: each edit must stay certified
-   identical to its cold reference at that jobs value, and the SVFG
-   fingerprints after every stage must agree byte-for-byte across jobs. *)
-let test_edit_sequence_jobs () =
-  let run jobs =
-    let eng = Engine.create ~jobs ~differential:true () in
-    (match Engine.load eng (mt_source ~target:"worker_a" ~lock_var:"m1" ~global:"g1") with
-    | Error e -> Alcotest.failf "jobs %d: load failed: %s" jobs e
-    | Ok li -> ignore li);
-    List.map
-      (fun (stage, src) ->
-        match Engine.edit_source eng src with
-        | Error e -> Alcotest.failf "jobs %d %s: edit failed: %s" jobs stage e
-        | Ok info ->
-          Alcotest.(check (option bool))
-            (Printf.sprintf "jobs %d %s: identical" jobs stage)
-            (Some true) info.Engine.e_identical;
-          Svfg.digest (Engine.driver eng).D.svfg)
-      mt_stages
-  in
-  let d1 = run 1 in
-  Alcotest.(check (list string)) "digests: jobs 1 vs 2" d1 (run 2);
-  Alcotest.(check (list string)) "digests: jobs 1 vs 4" d1 (run 4)
 
 (* Under --provenance every recording phase (Andersen, SVFG, sparse solve)
    refuses its warm start while the thread model, MHP and locks are still
@@ -527,9 +476,7 @@ let test_fields_of_sorted () =
 let suite =
   [
     Alcotest.test_case "edit-differential" `Slow test_edit_differential;
-    Alcotest.test_case "edit-jobs-invariant" `Slow test_edit_jobs_invariant;
     Alcotest.test_case "edit-sequence-phases" `Quick test_edit_sequence_phases;
-    Alcotest.test_case "edit-sequence-jobs" `Quick test_edit_sequence_jobs;
     Alcotest.test_case "provenance-warm-chains" `Quick test_provenance_warm_chains;
     Alcotest.test_case "snapshot-roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot-rejects-garbage" `Quick test_snapshot_rejects_garbage;

@@ -12,11 +12,11 @@
      is given (relative drift beyond PCT fails); additionally,
      --speedup-floor F gates every "speedup" key by an absolute one-sided
      floor — the fresh value must be >= F regardless of the baseline (the
-     multi-core CI contract "parallelism must pay at least F x");
+     CI contract "a warm edit must at least break even with a cold load");
    - timing/size metrics (suffixes _s, _us, _mb, _pct, or key "seconds")
      are informational unless --wall-tolerance PCT is given;
-   - bookkeeping keys (git_commit, schema, quick, budget_s, scale, cores,
-     jobs) and the free-form metrics/spans subtrees are never gated.
+   - bookkeeping keys (git_commit, schema, quick, budget_s, scale) and the
+     free-form metrics/spans/profile subtrees are never gated.
 
    Rows in list-of-object tables are aligned by their "program" field when
    present, by index otherwise; a baseline row or key missing from the
@@ -44,8 +44,8 @@ let load path =
 
 (* -- key classification ---------------------------------------------------- *)
 
-let skip_keys = [ "git_commit"; "schema"; "quick"; "budget_s"; "scale"; "cores"; "jobs" ]
-let skip_subtrees = [ "metrics"; "spans"; "timelines"; "profile" ]
+let skip_keys = [ "git_commit"; "schema"; "quick"; "budget_s"; "scale" ]
+let skip_subtrees = [ "metrics"; "spans"; "profile" ]
 
 let has_suffix suf s =
   let ls = String.length s and lf = String.length suf in

@@ -506,38 +506,32 @@ let () =
   stop d2;
   Sys.remove snap;
 
-  (* -- observability on/off byte-identity, at --jobs 1/2/4 ------------------
+  (* -- observability on/off byte-identity ------------------------------------
      the full telemetry stack (flight recorder + slow log on every request)
      must not perturb a single analysis result *)
-  List.iter
-    (fun jobs ->
-       let n = string_of_int jobs in
-       let slowtmp = Filename.temp_file "fsam_smoke" ".slow2" in
-       let d_on = start [ "--jobs"; n; "--slow-ms"; "0"; "--slow-log"; slowtmp ] in
-       let d_off = start [ "--jobs"; n; "--flight"; "0"; "--slow-ms=-1" ] in
-       let both obj = (request d_on obj, request d_off obj) in
-       let step name fields obj =
-         let a, b = both obj in
-         check (Printf.sprintf "obs on/off identical: %s (jobs %d)" name jobs)
-           (is_ok a && is_ok b && fields_identical fields a b)
-       in
-       step "load" [ "svfg_digest"; "propagations"; "races"; "funcs"; "stmts" ]
-         [ ("id", J.Int 1); ("op", J.String "load"); ("source", J.String source) ];
-       step "points-to" [ "var"; "var_id"; "objects" ]
-         [ ("id", J.Int 2); ("op", J.String "points-to"); ("var", J.String "out") ];
-       step "races" [ "count"; "races" ] [ ("id", J.Int 3); ("op", J.String "races") ];
-       step "warm edit" [ "mode"; "propagations" ]
-         [ ("id", J.Int 4); ("op", J.String "edit");
-           ("source", J.String (replace_edit source ~fn:"f1_1")) ];
-       step "points-to after edit" [ "var"; "var_id"; "objects" ]
-         [ ("id", J.Int 5); ("op", J.String "points-to"); ("var", J.String "out") ];
-       step "races after edit" [ "count"; "races" ]
-         [ ("id", J.Int 6); ("op", J.String "races") ];
-       ignore (both [ ("id", J.Int 7); ("op", J.String "shutdown") ]);
-       stop d_on;
-       stop d_off;
-       (try Sys.remove slowtmp with Sys_error _ -> ()))
-    [ 1; 2; 4 ];
+  let slowtmp = Filename.temp_file "fsam_smoke" ".slow2" in
+  let d_on = start [ "--slow-ms"; "0"; "--slow-log"; slowtmp ] in
+  let d_off = start [ "--flight"; "0"; "--slow-ms=-1" ] in
+  let both obj = (request d_on obj, request d_off obj) in
+  let step name fields obj =
+    let a, b = both obj in
+    check ("obs on/off identical: " ^ name) (is_ok a && is_ok b && fields_identical fields a b)
+  in
+  step "load" [ "svfg_digest"; "propagations"; "races"; "funcs"; "stmts" ]
+    [ ("id", J.Int 1); ("op", J.String "load"); ("source", J.String source) ];
+  step "points-to" [ "var"; "var_id"; "objects" ]
+    [ ("id", J.Int 2); ("op", J.String "points-to"); ("var", J.String "out") ];
+  step "races" [ "count"; "races" ] [ ("id", J.Int 3); ("op", J.String "races") ];
+  step "warm edit" [ "mode"; "propagations" ]
+    [ ("id", J.Int 4); ("op", J.String "edit");
+      ("source", J.String (replace_edit source ~fn:"f1_1")) ];
+  step "points-to after edit" [ "var"; "var_id"; "objects" ]
+    [ ("id", J.Int 5); ("op", J.String "points-to"); ("var", J.String "out") ];
+  step "races after edit" [ "count"; "races" ] [ ("id", J.Int 6); ("op", J.String "races") ];
+  ignore (both [ ("id", J.Int 7); ("op", J.String "shutdown") ]);
+  stop d_on;
+  stop d_off;
+  (try Sys.remove slowtmp with Sys_error _ -> ());
 
   check "seq echoed strictly increasing on every reply" (!seq_violations = 0);
 
