@@ -2,11 +2,10 @@
     int→int map, and CSR adjacency — the cache-friendly alternative to
     [Hashtbl]s with boxed tuple keys on hot read-mostly paths.
 
-    The parallel fan-out shares these as immutable snapshots: every field is
-    a flat [int array], so worker domains read them without touching the GC's
-    shared structures and without pointer-chasing per probe. The intended
-    discipline (after the arena/flat-array engines this borrows from) is
-    build-once / read-many: populate on the main domain, then only query.
+    Every field is a flat [int array], so a probe does no pointer-chasing
+    and the GC scans no boxed keys. The intended discipline (after the
+    arena/flat-array engines this borrows from) is build-once / read-many:
+    populate, then only query.
 
     All keys and values are non-negative ints; composite keys are packed by
     the caller ([key = row * stride + col] — 63-bit ints leave plenty of
