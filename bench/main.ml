@@ -253,7 +253,7 @@ let figure12 () =
 (* ------------------------------------------------------------------------- *)
 
 (* One synthesized 100+ KLOC MiniC program through the whole pipeline and
-   the race client, once. The deterministic sizes and counts are the gate;
+   the race client, once. The deterministic sizes, counts and digests are the gate;
    the wall time is informational (one run, no noise estimate). *)
 let large () =
   let p = Fsam_workloads.Minic_synth.large in
@@ -269,6 +269,18 @@ let large () =
   Printf.printf "  races: %d; svfg edges %d (%d [THREAD-VF])\n\n%!" (List.length races)
     (Fsam_memssa.Svfg.n_edges d.D.svfg)
     (Fsam_memssa.Svfg.n_thread_aware_edges d.D.svfg);
+  (* every variable's top-level points-to set, in var order: with the SVFG
+     digest, an exact identity check of the run's results *)
+  let pt_digest =
+    let buf = Buffer.create 4096 in
+    for v = 0 to Prog.n_vars prog - 1 do
+      Fsam_dsa.Iset.iter
+        (fun o -> Buffer.add_string buf (string_of_int o ^ ","))
+        (Fsam_core.Sparse.pt_top d.D.sparse v);
+      Buffer.add_char buf '\n'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
   write_bench "BENCH_large.json"
     (J.Obj
        [
@@ -285,6 +297,8 @@ let large () =
                    ("n_races", J.Int (List.length races));
                    ("svfg_edges", J.Int (Fsam_memssa.Svfg.n_edges d.D.svfg));
                    ("svfg_thread_edges", J.Int (Fsam_memssa.Svfg.n_thread_aware_edges d.D.svfg));
+                   ("svfg_digest", J.String (Fsam_memssa.Svfg.digest d.D.svfg));
+                   ("pt_digest", J.String pt_digest);
                  ];
              ] );
        ])
