@@ -33,7 +33,9 @@ let compute prog ast =
      edges). Components are processed callees-first; within a component a
      small fixpoint loop handles recursion. *)
   let cg = Solver.call_graph ast in
-  let scc = Fsam_graph.Scc.compute cg in
+  let scc =
+    Fsam_graph.Scc.compute ~n:(Fsam_graph.Digraph.n_nodes cg) ~succs:(Fsam_graph.Digraph.succs cg)
+  in
   for c = 0 to scc.Fsam_graph.Scc.n_comps - 1 do
     let members = scc.Fsam_graph.Scc.comps.(c) in
     let changed = ref true in

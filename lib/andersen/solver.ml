@@ -29,7 +29,6 @@ type t = {
   icalls : (int, callsite list) Hashtbl.t;
   connected : (int * int * int, unit) Hashtbl.t; (* (cs_fid, cs_idx, callee) *)
   cg : Fsam_graph.Digraph.t; (* includes fork edges *)
-  cg_nf : Fsam_graph.Digraph.t; (* plain call edges only *)
   callee_tbl : (int * int, int list ref) Hashtbl.t; (* callsite -> callees *)
   fork_tgts : int list ref array; (* fork id -> start procs *)
   ret_tbl : Stmt.var list array; (* fid -> returned vars *)
@@ -113,7 +112,6 @@ let connect t cs callee =
     | Some l -> l := callee :: !l
     | None -> Hashtbl.replace t.callee_tbl (cs.cs_fid, cs.cs_idx) (ref [ callee ]));
     Fsam_graph.Digraph.add_edge t.cg cs.cs_fid callee;
-    if not cs.cs_fork then Fsam_graph.Digraph.add_edge t.cg_nf cs.cs_fid callee;
     let f = Prog.func t.prog callee in
     let rec bind args params =
       match (args, params) with
@@ -138,19 +136,19 @@ let fork_of_stmt t cs fork_id callee =
 let collapse t =
   t.collapses <- t.collapses + 1;
   let merged = Obs.Metrics.counter "andersen.pwc_merged_nodes" in
-  let n = Array.length t.pts in
-  let g = Fsam_graph.Digraph.create ~size_hint:n () in
-  for u = 0 to n - 1 do
-    if Uf.find t.uf u = u then begin
-      Fsam_graph.Digraph.ensure_node g u;
-      Iset.iter
-        (fun v ->
-          let v = Uf.find t.uf v in
-          if v <> u then Fsam_graph.Digraph.add_edge g u v)
-        t.succs.(u)
-    end
-  done;
-  let r = Fsam_graph.Scc.compute g in
+  (* each representative's successor representatives, ascending and without
+     self-edges, so Tarjan visits (and merges) in node-id order *)
+  let succs u =
+    if Uf.find t.uf u <> u then []
+    else
+      List.sort_uniq compare
+        (Iset.fold
+           (fun v acc ->
+             let v = Uf.find t.uf v in
+             if v <> u then v :: acc else acc)
+           t.succs.(u) [])
+  in
+  let r = Fsam_graph.Scc.compute ~n:(Array.length t.pts) ~succs in
   Array.iter
     (fun members ->
       match members with
@@ -303,7 +301,6 @@ let mk_state ?prov prog =
       icalls = Hashtbl.create 64;
       connected = Hashtbl.create 64;
       cg = Fsam_graph.Digraph.create ~size_hint:(Prog.n_funcs prog) ();
-      cg_nf = Fsam_graph.Digraph.create ~size_hint:(Prog.n_funcs prog) ();
       callee_tbl = Hashtbl.create 64;
       fork_tgts = Array.init (Prog.n_forks prog) (fun _ -> ref []);
       ret_tbl;
@@ -317,7 +314,6 @@ let mk_state ?prov prog =
     }
   in
   Fsam_graph.Digraph.ensure_node t.cg (Prog.n_funcs prog - 1);
-  Fsam_graph.Digraph.ensure_node t.cg_nf (Prog.n_funcs prog - 1);
   t
 
 (* Register every statement's constraints. On a warm start the simple
@@ -625,8 +621,6 @@ let run_warm prog ~warm =
                             Hashtbl.replace t.callee_tbl (cs.cs_fid, cs.cs_idx)
                               (ref [ fid ]));
                           Fsam_graph.Digraph.add_edge t.cg cs.cs_fid fid;
-                          if not cs.cs_fork then
-                            Fsam_graph.Digraph.add_edge t.cg_nf cs.cs_fid fid;
                           if cs.cs_fork then begin
                             match Func.stmt (Prog.func prog cs.cs_fid) cs.cs_idx with
                             | Stmt.Fork { fork_id; _ } ->
@@ -686,7 +680,6 @@ let callees t ~fid ~idx =
   | None -> []
 
 let call_graph t = t.cg
-let call_graph_no_fork t = t.cg_nf
 let fork_targets t k = List.sort_uniq compare !(t.fork_tgts.(k))
 
 let join_threads t ~fid ~idx =
@@ -708,7 +701,8 @@ let join_threads t ~fid ~idx =
 let ret_vars t f = t.ret_tbl.(f)
 
 let reachable_funcs t =
-  Fsam_graph.Reach.from t.cg (Prog.main_fid t.prog)
+  Fsam_graph.Reach.from ~n:(Fsam_graph.Digraph.n_nodes t.cg) ~succs:(Fsam_graph.Digraph.succs t.cg)
+    (Prog.main_fid t.prog)
 
 let n_solver_iterations t = t.iterations
 

@@ -62,9 +62,6 @@ val callees : t -> fid:int -> idx:int -> int list
 val call_graph : t -> Fsam_graph.Digraph.t
 (** Function-level call graph including fork edges (caller -> start proc). *)
 
-val call_graph_no_fork : t -> Fsam_graph.Digraph.t
-(** Call graph with plain call edges only. *)
-
 val fork_targets : t -> int -> int list
 (** Start procedures of the given fork id. *)
 

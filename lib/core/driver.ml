@@ -151,7 +151,7 @@ let run ?(config = default_config) ?warm prog =
         Obs.Span.with_timed ~name:"phase.solve" (fun () ->
             let singleton =
               Obs.Span.with_ ~name:"singletons.compute" (fun () ->
-                  Singletons.compute prog ast tm icfg)
+                  Singletons.compute prog tm icfg)
             in
             let warm = Option.bind warm (fun h -> h.wh_solve prog ast svfg ~singleton) in
             (singleton, Sparse.solve ?warm ?prov prog ast svfg ~singleton))
@@ -201,7 +201,7 @@ let run_nonsparse ?(config = default_config) prog =
               let pcg = Obs.Span.with_ ~name:"pcg.compute" (fun () -> Mta.Pcg.compute tm icfg) in
               let singleton =
                 Obs.Span.with_ ~name:"singletons.compute" (fun () ->
-                    Singletons.compute prog ast tm icfg)
+                    Singletons.compute prog tm icfg)
               in
               (ast, icfg, pcg, singleton))
         in

@@ -1,13 +1,8 @@
 open Fsam_dsa
 open Fsam_ir
-module A = Fsam_andersen.Solver
 module Mta = Fsam_mta
 
-let compute prog ast tm icfg =
-  (* recursive functions *)
-  let cg = A.call_graph ast in
-  let scc = Fsam_graph.Scc.compute cg in
-  let recursive fid = not (Fsam_graph.Scc.is_trivial scc cg fid) in
+let compute prog tm icfg =
   (* how many runtime threads may execute each function *)
   let nf = Prog.n_funcs prog in
   let runners = Array.make nf Iset.empty in
@@ -35,7 +30,7 @@ let compute prog ast tm icfg =
       | Memobj.Global -> true
       | Memobj.Field _ -> false (* roots are never fields *)
       | Memobj.Stack fid ->
-        (not (recursive fid))
+        (not (Mta.Icfg.recursive icfg fid))
         && (not multi_runner.(fid))
         && Iset.cardinal runners.(fid) <= 1
     end

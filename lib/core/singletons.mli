@@ -8,7 +8,6 @@ open Fsam_ir
     thread (several abstract threads, or one multi-forked thread). Field
     objects inherit their root's status. *)
 
-val compute :
-  Prog.t -> Fsam_andersen.Solver.t -> Fsam_mta.Threads.t -> Fsam_mta.Icfg.t -> (int -> bool)
+val compute : Prog.t -> Fsam_mta.Threads.t -> Fsam_mta.Icfg.t -> (int -> bool)
 (** Returns a predicate on object ids, valid also for field objects
     materialised after the call. *)

@@ -120,30 +120,65 @@ let compute_deps prog ast =
           | _ -> ()));
   { d_defs; d_users }
 
-(* the dependency graph: an edge u -> w whenever processing u can enqueue w,
-   i.e. u defines a top-level var w uses (including the param/return
-   bindings performed at call and fork sites) or a points-to fact generated
-   at u flows to w along an SVFG edge *)
-let dep_graph prog svfg { d_defs; d_users } =
-  let n_units = unit_count prog svfg in
-  let dep = Fsam_graph.Digraph.create ~size_hint:n_units () in
-  if n_units > 0 then Fsam_graph.Digraph.ensure_node dep (n_units - 1);
-  Array.iteri
-    (fun v defs ->
-      match d_users.(v) with
-      | [] -> ()
-      | users ->
-        List.iter
-          (fun d -> List.iter (fun u -> Fsam_graph.Digraph.add_edge dep d u) users)
-          defs)
-    d_defs;
-  Svfg.iter_nodes svfg (fun n _ ->
-      let src = unit_of_svfg_node prog svfg n in
-      List.iter
-        (fun (_, dst) ->
-          Fsam_graph.Digraph.add_edge dep src (unit_of_svfg_node prog svfg dst))
-        (Svfg.o_succs svfg n));
-  dep
+(* The dependency relation, walked on the fly: an edge u -> w whenever
+   processing u can enqueue w, i.e. u defines a top-level var w uses
+   (including the param/return bindings performed at call and fork sites) or
+   a points-to fact generated at u flows to w along an SVFG edge. The walk
+   only inverts [d_defs]/[d_users] to per-statement var lists and indexes
+   each statement's SVFG node; the SVFG supplies its own edges. *)
+type dep_walk = {
+  w_prog : Prog.t;
+  w_svfg : Svfg.t;
+  w_deps : deps;
+  w_defs_of : int list array; (* gid -> vars it defines *)
+  w_uses_of : int list array; (* gid -> vars it uses *)
+  w_node_of : int array; (* gid -> its SVFG node, or -1 *)
+}
+
+let dep_walk prog svfg deps =
+  let n_stmts = Prog.n_stmts prog in
+  let invert by_var =
+    let inv = Array.make n_stmts [] in
+    Array.iteri (fun v gids -> List.iter (fun g -> inv.(g) <- v :: inv.(g)) gids) by_var;
+    inv
+  in
+  let node_of = Array.make n_stmts (-1) in
+  Svfg.iter_nodes svfg (fun n -> function Svfg.Stmt_node g -> node_of.(g) <- n | _ -> ());
+  {
+    w_prog = prog;
+    w_svfg = svfg;
+    w_deps = deps;
+    w_defs_of = invert deps.d_defs;
+    w_uses_of = invert deps.d_users;
+    w_node_of = node_of;
+  }
+
+(* the SVFG node a unit drains, or -1 *)
+let node_of_unit w u =
+  let n_stmts = Prog.n_stmts w.w_prog in
+  if u < n_stmts then w.w_node_of.(u)
+  else
+    match Svfg.node w.w_svfg (u - n_stmts) with
+    | Svfg.Stmt_node _ -> -1 (* drained by its gid's unit *)
+    | _ -> u - n_stmts
+
+let iter_dep_succs w u f =
+  if u < Prog.n_stmts w.w_prog then
+    List.iter (fun v -> List.iter f w.w_deps.d_users.(v)) w.w_defs_of.(u);
+  let n = node_of_unit w u in
+  if n >= 0 then
+    List.iter
+      (fun (_, dst) -> f (unit_of_svfg_node w.w_prog w.w_svfg dst))
+      (Svfg.o_succs w.w_svfg n)
+
+let iter_dep_preds w u f =
+  if u < Prog.n_stmts w.w_prog then
+    List.iter (fun v -> List.iter f w.w_deps.d_defs.(v)) w.w_uses_of.(u);
+  let n = node_of_unit w u in
+  if n >= 0 then
+    List.iter
+      (fun (_, src) -> f (unit_of_svfg_node w.w_prog w.w_svfg src))
+      (Svfg.o_preds w.w_svfg n)
 
 type warm = {
   w_ptv : Iset.t array;

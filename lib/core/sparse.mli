@@ -40,11 +40,22 @@ val all_units : Prog.t -> Fsam_memssa.Svfg.t -> int list
     unit of each non-statement SVFG node — the seeds of a full
     verification sweep over a warm start. *)
 
-val dep_graph : Prog.t -> Fsam_memssa.Svfg.t -> deps -> Fsam_graph.Digraph.t
-(** The unit dependency graph the drain propagates on, built from the
+type dep_walk
+(** The unit dependency relation the drain propagates on, built from the
     program's [compute_deps]: an edge [u -> w] whenever processing [u] can
-    enqueue [w]. The incremental planner takes the forward closure of its
-    dirty seeds over this graph. *)
+    enqueue [w] — [u] defines a variable [w] uses, or an SVFG edge leads
+    from [u]'s node to [w]'s. Walked on the fly, no graph is built. The
+    incremental planner takes the forward closure of its dirty seeds over
+    it, and walks it backward from the dirty stores' pointers. *)
+
+val dep_walk : Prog.t -> Fsam_memssa.Svfg.t -> deps -> dep_walk
+
+val iter_dep_succs : dep_walk -> int -> (int -> unit) -> unit
+(** [iter_dep_succs w u f] calls [f] on every unit [u] has an edge to, an
+    edge possibly more than once. *)
+
+val iter_dep_preds : dep_walk -> int -> (int -> unit) -> unit
+(** The inverse of {!iter_dep_succs}. *)
 
 type warm = {
   w_ptv : Fsam_dsa.Iset.t array;  (** pre-proven top-level sets, by var *)

@@ -2,69 +2,32 @@ open Fsam_dsa
 
 type t = {
   mutable fwd : Iset.t array; (* fwd.(u) = successor set of u *)
-  mutable bwd : Iset.t array;
   mutable max_node : int; (* -1 when no node exists *)
-  mutable edges : int;
 }
 
-let create ?(size_hint = 16) () =
-  let n = max size_hint 1 in
-  { fwd = Array.make n Iset.empty; bwd = Array.make n Iset.empty; max_node = -1; edges = 0 }
-
-let grow t i =
-  let len = Array.length t.fwd in
-  if i >= len then begin
-    let n = max (i + 1) (2 * len) in
-    let fwd = Array.make n Iset.empty and bwd = Array.make n Iset.empty in
-    Array.blit t.fwd 0 fwd 0 len;
-    Array.blit t.bwd 0 bwd 0 len;
-    t.fwd <- fwd;
-    t.bwd <- bwd
-  end
+let create ?(size_hint = 16) () = { fwd = Array.make (max size_hint 1) Iset.empty; max_node = -1 }
 
 let ensure_node t i =
   if i < 0 then invalid_arg "Digraph.ensure_node";
-  grow t i;
+  let len = Array.length t.fwd in
+  if i >= len then begin
+    let fwd = Array.make (max (i + 1) (2 * len)) Iset.empty in
+    Array.blit t.fwd 0 fwd 0 len;
+    t.fwd <- fwd
+  end;
   if i > t.max_node then t.max_node <- i
 
 let add_edge t u v =
   ensure_node t u;
   ensure_node t v;
-  let s = t.fwd.(u) in
-  if not (Iset.mem v s) then begin
-    t.fwd.(u) <- Iset.add v s;
-    t.bwd.(v) <- Iset.add u t.bwd.(v);
-    t.edges <- t.edges + 1
-  end
+  t.fwd.(u) <- Iset.add v t.fwd.(u)
 
-let has_edge t u v =
-  u >= 0 && u <= t.max_node && Iset.mem v t.fwd.(u)
-
-let remove_edge t u v =
-  if has_edge t u v then begin
-    t.fwd.(u) <- Iset.remove v t.fwd.(u);
-    t.bwd.(v) <- Iset.remove u t.bwd.(v);
-    t.edges <- t.edges - 1
-  end
-
+let has_edge t u v = u >= 0 && u <= t.max_node && Iset.mem v t.fwd.(u)
 let n_nodes t = t.max_node + 1
-let n_edges t = t.edges
 let succs t u = if u > t.max_node then [] else Iset.elements t.fwd.(u)
-let preds t u = if u > t.max_node then [] else Iset.elements t.bwd.(u)
-
 let iter_succs t u f = if u <= t.max_node then Iset.iter f t.fwd.(u)
-let iter_preds t u f = if u <= t.max_node then Iset.iter f t.bwd.(u)
-let iter_nodes t f =
-  for i = 0 to t.max_node do
-    f i
+
+let iter_edges t f =
+  for u = 0 to t.max_node do
+    iter_succs t u (f u)
   done
-
-let iter_edges t f = iter_nodes t (fun u -> iter_succs t u (fun v -> f u v))
-let out_degree t u = if u > t.max_node then 0 else Iset.cardinal t.fwd.(u)
-let in_degree t u = if u > t.max_node then 0 else Iset.cardinal t.bwd.(u)
-
-let copy t =
-  { fwd = Array.copy t.fwd; bwd = Array.copy t.bwd; max_node = t.max_node; edges = t.edges }
-
-let transpose t =
-  { fwd = Array.copy t.bwd; bwd = Array.copy t.fwd; max_node = t.max_node; edges = t.edges }

@@ -1,4 +1,7 @@
-(** Mutable directed graphs over dense integer node ids.
+(** Mutable directed graphs over dense integer node ids, for graphs that
+    grow edge by edge (the Andersen call graph, discovered on the fly).
+    Graphs that are built once only are walked through their owner's
+    successor function instead (see {!Reach}, {!Scc}, {!Dominance}).
 
     Nodes are created implicitly by adding edges or explicitly with
     [ensure_node]; ids should stay dense as internal storage is array-based.
@@ -10,18 +13,11 @@ val create : ?size_hint:int -> unit -> t
 val ensure_node : t -> int -> unit
 val add_edge : t -> int -> int -> unit
 val has_edge : t -> int -> int -> bool
-val remove_edge : t -> int -> int -> unit
 val n_nodes : t -> int
 (** One past the largest node id ever touched. *)
 
-val n_edges : t -> int
 val succs : t -> int -> int list
-val preds : t -> int -> int list
+(** Ascending. *)
+
 val iter_succs : t -> int -> (int -> unit) -> unit
-val iter_preds : t -> int -> (int -> unit) -> unit
-val iter_nodes : t -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> unit) -> unit
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-val copy : t -> t
-val transpose : t -> t

@@ -5,15 +5,14 @@ type t = {
   kids : int list array;
 }
 
-let postorder g entry =
-  let n = Digraph.n_nodes g in
+let postorder ~n ~succs entry =
   let seen = Array.make n false in
   let order = ref [] in
   (* iterative DFS with explicit frames *)
   let frames = ref [] in
   if entry >= 0 && entry < n then begin
     seen.(entry) <- true;
-    frames := [ (entry, Digraph.succs g entry) ]
+    frames := [ (entry, succs entry) ]
   end;
   while !frames <> [] do
     match !frames with
@@ -24,7 +23,7 @@ let postorder g entry =
         frames := (v, ws) :: rest;
         if not seen.(w) then begin
           seen.(w) <- true;
-          frames := (w, Digraph.succs g w) :: !frames
+          frames := (w, succs w) :: !frames
         end
       | [] ->
         frames := rest;
@@ -32,9 +31,8 @@ let postorder g entry =
   done;
   !order (* this is reverse postorder: last-finished first *)
 
-let compute g ~entry =
-  let n = Digraph.n_nodes g in
-  let rpo = postorder g entry in
+let compute ~n ~succs ~preds ~entry =
+  let rpo = postorder ~n ~succs entry in
   let rpo_number = Array.make n (-1) in
   List.iteri (fun i v -> rpo_number.(v) <- i) rpo;
   let idom = Array.make n (-1) in
@@ -63,7 +61,7 @@ let compute g ~entry =
               if rpo_number.(p) >= 0 && idom.(p) >= 0 then
                 if !new_idom = -1 then new_idom := p
                 else new_idom := intersect p !new_idom)
-            (Digraph.preds g v);
+            (preds v);
           if !new_idom >= 0 && idom.(v) <> !new_idom then begin
             idom.(v) <- !new_idom;
             changed := true
@@ -75,21 +73,26 @@ let compute g ~entry =
   let add_frontier v x =
     if not (List.mem x frontiers.(v)) then frontiers.(v) <- x :: frontiers.(v)
   in
-  Digraph.iter_nodes g (fun v ->
-      if rpo_number.(v) >= 0 && Digraph.in_degree g v >= 2 then
-        List.iter
-          (fun p ->
-            if rpo_number.(p) >= 0 then begin
-              let runner = ref p in
-              while !runner <> idom.(v) do
-                add_frontier !runner v;
-                runner := idom.(!runner)
-              done
-            end)
-          (Digraph.preds g v));
+  (* join points only: a node with two distinct predecessors (lists may
+     repeat an edge) *)
+  let is_join = function [] -> false | p :: ps -> List.exists (fun q -> q <> p) ps in
+  for v = 0 to n - 1 do
+    if rpo_number.(v) >= 0 && is_join (preds v) then
+      List.iter
+        (fun p ->
+          if rpo_number.(p) >= 0 then begin
+            let runner = ref p in
+            while !runner <> idom.(v) do
+              add_frontier !runner v;
+              runner := idom.(!runner)
+            done
+          end)
+        (preds v)
+  done;
   let kids = Array.make n [] in
-  Digraph.iter_nodes g (fun v ->
-      if v <> entry && idom.(v) >= 0 then kids.(idom.(v)) <- v :: kids.(idom.(v)));
+  for v = 0 to n - 1 do
+    if v <> entry && idom.(v) >= 0 then kids.(idom.(v)) <- v :: kids.(idom.(v))
+  done;
   { idom; rpo_number; frontiers; kids }
 
 let idom t v = t.idom.(v)

@@ -4,7 +4,9 @@
 
 type t
 
-val compute : Digraph.t -> entry:int -> t
+val compute : n:int -> succs:(int -> int list) -> preds:(int -> int list) -> entry:int -> t
+(** Over the nodes [0, n) of the graph given by [succs] and its inverse
+    [preds] (lists may repeat an edge). *)
 
 val idom : t -> int -> int
 (** Immediate dominator; the entry's idom is itself; unreachable nodes

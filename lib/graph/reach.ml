@@ -1,25 +1,7 @@
 open Fsam_dsa
 
-let from_many g srcs =
-  let seen = Bitvec.create ~capacity:(Digraph.n_nodes g) () in
-  let stack = ref [] in
-  List.iter
-    (fun s -> if s >= 0 && Bitvec.set_if_unset seen s then stack := s :: !stack)
-    srcs;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | u :: tl ->
-      stack := tl;
-      Digraph.iter_succs g u (fun v ->
-          if Bitvec.set_if_unset seen v then stack := v :: !stack)
-  done;
-  seen
-
-let from g s = from_many g [ s ]
-
-let backward_from g s =
-  let seen = Bitvec.create ~capacity:(Digraph.n_nodes g) () in
+let from ~n ~succs s =
+  let seen = Bitvec.create ~capacity:n () in
   let stack = ref [] in
   if s >= 0 then begin
     Bitvec.set seen s;
@@ -30,22 +12,19 @@ let backward_from g s =
     | [] -> ()
     | u :: tl ->
       stack := tl;
-      Digraph.iter_preds g u (fun v ->
-          if Bitvec.set_if_unset seen v then stack := v :: !stack)
+      List.iter (fun v -> if Bitvec.set_if_unset seen v then stack := v :: !stack) (succs u)
   done;
   seen
 
-let reaches g u v = Bitvec.get (from g u) v
-
-let all_paths_hit g ~src ~targets ~exits =
+let all_paths_hit ~n ~succs ~src ~targets ~exits =
   (* Explore from [src] without entering target nodes; the property fails iff
      this exploration can still reach an exit. The source itself counts as
      covered when it is a target. *)
   if Bitvec.get targets src then true
   else begin
-    let exit_set = Bitvec.create ~capacity:(Digraph.n_nodes g) () in
+    let exit_set = Bitvec.create ~capacity:n () in
     List.iter (fun e -> if e >= 0 then Bitvec.set exit_set e) exits;
-    let seen = Bitvec.create ~capacity:(Digraph.n_nodes g) () in
+    let seen = Bitvec.create ~capacity:n () in
     let stack = ref [ src ] in
     Bitvec.set seen src;
     let ok = ref true in
@@ -55,11 +34,13 @@ let all_paths_hit g ~src ~targets ~exits =
       | [] -> ()
       | u :: tl ->
         stack := tl;
-        Digraph.iter_succs g u (fun v ->
+        List.iter
+          (fun v ->
             if (not (Bitvec.get targets v)) && Bitvec.set_if_unset seen v then begin
               if Bitvec.get exit_set v then ok := false;
               stack := v :: !stack
             end)
+          (succs u)
     done;
     !ok
   end

@@ -1,17 +1,18 @@
-(** Reachability queries on directed graphs. *)
+(** Reachability queries over a graph given by its successor function:
+    [n] bounds the node ids, [succs u] lists [u]'s successors (duplicates
+    allowed). *)
 
-val from : Digraph.t -> int -> Fsam_dsa.Bitvec.t
+val from : n:int -> succs:(int -> int list) -> int -> Fsam_dsa.Bitvec.t
 (** Nodes reachable from the given source (including it). *)
 
-val from_many : Digraph.t -> int list -> Fsam_dsa.Bitvec.t
-
-val backward_from : Digraph.t -> int -> Fsam_dsa.Bitvec.t
-(** Nodes that can reach the given sink (including it). *)
-
-val reaches : Digraph.t -> int -> int -> bool
-
-val all_paths_hit : Digraph.t -> src:int -> targets:Fsam_dsa.Bitvec.t -> exits:int list -> bool
-(** [all_paths_hit g ~src ~targets ~exits] is [true] iff every path in [g]
+val all_paths_hit :
+  n:int ->
+  succs:(int -> int list) ->
+  src:int ->
+  targets:Fsam_dsa.Bitvec.t ->
+  exits:int list ->
+  bool
+(** [all_paths_hit ~n ~succs ~src ~targets ~exits] is [true] iff every path
     from [src] to any node in [exits] passes through some node in [targets]
     before (or when) reaching the exit. Used for the happens-before check of
     Definition 2: "the fork site of t' is backward reachable to a join site of

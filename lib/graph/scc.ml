@@ -6,8 +6,7 @@ type result = {
 
 (* Iterative Tarjan: an explicit stack of (node, remaining successors) frames
    avoids stack overflow on the deep CFGs the workload generator produces. *)
-let compute g =
-  let n = Digraph.n_nodes g in
+let compute ~n ~succs =
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -17,7 +16,7 @@ let compute g =
   let next_comp = ref 0 in
   let visit root =
     if index.(root) = -1 then begin
-      let frames = ref [ (root, Digraph.succs g root) ] in
+      let frames = ref [ (root, succs root) ] in
       index.(root) <- !next_index;
       lowlink.(root) <- !next_index;
       incr next_index;
@@ -36,7 +35,7 @@ let compute g =
               incr next_index;
               stack := w :: !stack;
               on_stack.(w) <- true;
-              frames := (w, Digraph.succs g w) :: !frames
+              frames := (w, succs w) :: !frames
             end
             else if on_stack.(w) then
               if index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
@@ -72,17 +71,7 @@ let compute g =
   done;
   { comp_of; comps; n_comps }
 
-let topo_order g r =
-  ignore g;
-  let acc = ref [] in
-  for c = 0 to r.n_comps - 1 do
-    acc := List.rev_append r.comps.(c) !acc
-  done;
-  (* components were appended from 0 upward then reversed, so high component
-     ids (topologically early) come first *)
-  !acc
-
-let is_trivial r g v =
+let is_trivial r ~succs v =
   match r.comps.(r.comp_of.(v)) with
-  | [ u ] -> not (Digraph.has_edge g u u)
+  | [ u ] -> not (List.mem u (succs u))
   | _ -> false

@@ -1,4 +1,5 @@
-(** Strongly connected components (Tarjan's algorithm, iterative). *)
+(** Strongly connected components (Tarjan's algorithm, iterative) of a
+    graph given by its successor function over the nodes [0, n). *)
 
 type result = {
   comp_of : int array;  (** node id -> component id *)
@@ -6,15 +7,13 @@ type result = {
   n_comps : int;
 }
 
-val compute : Digraph.t -> result
+val compute : n:int -> succs:(int -> int list) -> result
 (** Component ids are numbered in {i reverse} topological order of the
     condensation: if there is an edge from component [a] to component [b]
     (with [a <> b]) then [a > b]. Hence iterating components from
-    [n_comps - 1] down to [0] visits them in topological order. *)
+    [n_comps - 1] down to [0] visits them in topological order. Roots are
+    tried in ascending id order and successors in [succs] order, so the
+    numbering is a function of both. *)
 
-val topo_order : Digraph.t -> result -> int list
-(** Nodes in a topological order of the condensation (members of one
-    component appear consecutively). *)
-
-val is_trivial : result -> Digraph.t -> int -> bool
+val is_trivial : result -> succs:(int -> int list) -> int -> bool
 (** A component is trivial if it has one node without a self loop. *)

@@ -13,12 +13,3 @@ let n_stmts f = Array.length f.stmts
 let stmt f i = f.stmts.(i)
 
 let iter_stmts f g = Array.iteri g f.stmts
-
-let cfg f =
-  let g = Fsam_graph.Digraph.create ~size_hint:(n_stmts f) () in
-  Array.iteri
-    (fun i succs ->
-      Fsam_graph.Digraph.ensure_node g i;
-      List.iter (fun j -> Fsam_graph.Digraph.add_edge g i j) succs)
-    f.succ;
-  g

@@ -16,5 +16,3 @@ val entry : t -> int
 val n_stmts : t -> int
 val stmt : t -> int -> Stmt.t
 val iter_stmts : t -> (int -> Stmt.t -> unit) -> unit
-val cfg : t -> Fsam_graph.Digraph.t
-(** A fresh [Digraph] copy of the CFG (for dominance etc.). *)

@@ -36,8 +36,10 @@ let live_in f ~uses_of ~defs_of n =
 
 let transform_func st (f : Func.t) =
   let n = Func.n_stmts f in
-  let g = Func.cfg f in
-  let dom = Dominance.compute g ~entry:(Func.entry f) in
+  let dom =
+    Dominance.compute ~n ~succs:(Array.get f.Func.succ) ~preds:(Array.get f.Func.pred)
+      ~entry:(Func.entry f)
+  in
   (* Collect def sites per original var. *)
   let defs : (Stmt.var, int list) Hashtbl.t = Hashtbl.create 16 in
   let mentioned = Hashtbl.create 16 in

@@ -29,8 +29,8 @@ let check ?(ssa = true) p =
           | _ -> if succs = [] then err "%s: stmt %d falls off the end" fname i)
         f.Func.succ;
       (* reachability *)
-      let g = Func.cfg f in
-      let reach = Fsam_graph.Reach.from g (Func.entry f) in
+      let succs i = if i < n then List.filter (fun j -> j >= 0 && j < n) f.Func.succ.(i) else [] in
+      let reach = Fsam_graph.Reach.from ~n ~succs (Func.entry f) in
       Func.iter_stmts f (fun i _ ->
           if not (Fsam_dsa.Bitvec.get reach i) then
             err "%s: stmt %d unreachable from entry" fname i);

@@ -10,6 +10,7 @@ type t = {
   fid_of : int array;
   cyclic : bool array; (* per gid: inside a cycle of its function's CFG *)
   collapsed : bool array; (* per gid: callsite inside a call-graph SCC *)
+  recursive : bool array; (* per fid: on a call-graph cycle (fork edges included) *)
 }
 
 let prog t = t.prog
@@ -23,6 +24,7 @@ let stmt t g = Prog.stmt_at t.prog g
 let fid_of t g = t.fid_of.(g)
 let in_cfg_cycle t g = t.cyclic.(g)
 let collapsed_callsite t g = t.collapsed.(g)
+let recursive t fid = t.recursive.(fid)
 
 let build prog ast =
   let n = Prog.n_stmts prog in
@@ -36,22 +38,27 @@ let build prog ast =
   in
   (* call-graph SCCs for collapsed callsites *)
   let cg = A.call_graph ast in
-  let cg_scc = Fsam_graph.Scc.compute cg in
+  let cg_succs = Fsam_graph.Digraph.succs cg in
+  let cg_scc = Fsam_graph.Scc.compute ~n:(Fsam_graph.Digraph.n_nodes cg) ~succs:cg_succs in
+  let recursive =
+    Array.init (Prog.n_funcs prog) (fun f ->
+        not (Fsam_graph.Scc.is_trivial cg_scc ~succs:cg_succs f))
+  in
   let same_scc f g =
     f < Array.length cg_scc.Fsam_graph.Scc.comp_of
     && g < Array.length cg_scc.Fsam_graph.Scc.comp_of
     && cg_scc.Fsam_graph.Scc.comp_of.(f) = cg_scc.Fsam_graph.Scc.comp_of.(g)
-    && not (Fsam_graph.Scc.is_trivial cg_scc cg f)
+    && recursive.(f)
   in
   Prog.iter_funcs prog (fun f ->
       let fid = f.Func.fid in
       let base = Prog.gid prog ~fid ~idx:0 in
       (* intra-function cycles *)
-      let g = Func.cfg f in
-      let scc = Fsam_graph.Scc.compute g in
+      let succs = Array.get f.Func.succ in
+      let scc = Fsam_graph.Scc.compute ~n:(Func.n_stmts f) ~succs in
       Func.iter_stmts f (fun i _ ->
           fid_of.(base + i) <- fid;
-          if not (Fsam_graph.Scc.is_trivial scc g i) then cyclic.(base + i) <- true);
+          if not (Fsam_graph.Scc.is_trivial scc ~succs i) then cyclic.(base + i) <- true);
       Func.iter_stmts f (fun i s ->
           let gid = base + i in
           let intra_succs = List.map (fun j -> base + j) f.Func.succ.(i) in
@@ -72,13 +79,4 @@ let build prog ast =
                 callees
             end
           | _ -> List.iter (fun v -> add Intra gid v) intra_succs));
-  { prog; succ; pred; fid_of; cyclic; collapsed }
-
-let whole_graph t =
-  let n = Array.length t.succ in
-  let g = Fsam_graph.Digraph.create ~size_hint:n () in
-  if n > 0 then Fsam_graph.Digraph.ensure_node g (n - 1);
-  Array.iteri (fun u l -> List.iter (fun (_, v) -> Fsam_graph.Digraph.add_edge g u v) l) t.succ;
-  g
-
-let intra_graph_of t fid = Func.cfg (Prog.func t.prog fid)
+  { prog; succ; pred; fid_of; cyclic; collapsed; recursive }

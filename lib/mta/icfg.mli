@@ -31,8 +31,6 @@ val collapsed_callsite : t -> int -> bool
 (** Whether the callsite belongs to a call-graph SCC and is therefore
     analysed context-insensitively (paper §3.1). *)
 
-val whole_graph : t -> Fsam_graph.Digraph.t
-(** All edges, unlabelled — for context-insensitive reachability. *)
-
-val intra_graph_of : t -> int -> Fsam_graph.Digraph.t
-(** The plain CFG of a function, over local statement indices. *)
+val recursive : t -> int -> bool
+(** Whether the function sits on a cycle of the call graph (fork edges
+    included): a non-trivial SCC or a self-call. *)

@@ -32,7 +32,6 @@ type t = {
   desc : Iset.t array;
   anc : Iset.t array;
   full_join_tbl : (int * int, bool) Hashtbl.t;
-  igraph : Fsam_graph.Digraph.t lazy_t;
 }
 
 (* -- Exploration ---------------------------------------------------------- *)
@@ -73,12 +72,8 @@ let multi_of st ~fork_gid ~spawn_ctx ~parent_multi =
   let recursive =
     Icfg.collapsed_callsite st.e_icfg fork_gid
     || List.exists (fun site -> Icfg.collapsed_callsite st.e_icfg site) chain
-    ||
     (* the fork's own function is recursive *)
-    let cg = A.call_graph st.e_ast in
-    let scc = Fsam_graph.Scc.compute cg in
-    let fid = Icfg.fid_of st.e_icfg fork_gid in
-    not (Fsam_graph.Scc.is_trivial scc cg fid)
+    || Icfg.recursive st.e_icfg (Icfg.fid_of st.e_icfg fork_gid)
   in
   let multi = fork_in_loop || chain_loop || recursive || parent_multi in
   let loop_only = multi && fork_in_loop && (not chain_loop) && (not recursive) && not parent_multi in
@@ -264,14 +259,9 @@ let symmetric_loop_join icfg ~fork_gid ~join_gid =
   let fk_idx = snd (Prog.of_gid prog fork_gid) and jn_idx = snd (Prog.of_gid prog join_gid) in
   let on_cycle_avoiding a b =
     (* is [a] on a cycle of the CFG with node [b] deleted? *)
-    let g = Fsam_graph.Digraph.create ~size_hint:(Func.n_stmts f) () in
-    Array.iteri
-      (fun i succs ->
-        Fsam_graph.Digraph.ensure_node g i;
-        if i <> b then List.iter (fun j -> if j <> b then Fsam_graph.Digraph.add_edge g i j) succs)
-      f.Func.succ;
-    let scc = Fsam_graph.Scc.compute g in
-    not (Fsam_graph.Scc.is_trivial scc g a)
+    let succs i = if i = b then [] else List.filter (fun j -> j <> b) f.Func.succ.(i) in
+    let scc = Fsam_graph.Scc.compute ~n:(Func.n_stmts f) ~succs in
+    not (Fsam_graph.Scc.is_trivial scc ~succs a)
   in
   on_cycle_avoiding fk_idx jn_idx && on_cycle_avoiding jn_idx fk_idx
 
@@ -283,8 +273,7 @@ let loop_exit_gids icfg gid =
   let prog = Icfg.prog icfg in
   let fid = Icfg.fid_of icfg gid in
   let f = Prog.func prog fid in
-  let g = Func.cfg f in
-  let scc = Fsam_graph.Scc.compute g in
+  let scc = Fsam_graph.Scc.compute ~n:(Func.n_stmts f) ~succs:(Array.get f.Func.succ) in
   let idx = snd (Prog.of_gid prog gid) in
   let comp = scc.Fsam_graph.Scc.comp_of.(idx) in
   let exits = ref [] in
@@ -364,13 +353,13 @@ let build ?(max_ctx_depth = 24) prog ast icfg =
       | Some jns ->
         let fid = Icfg.fid_of icfg fk_gid in
         let f = Prog.func prog fid in
-        let g = Func.cfg f in
         let fk_idx = snd (Prog.of_gid prog fk_gid) in
         let targets = Bitvec.create ~capacity:(Func.n_stmts f) () in
         List.iter
           (fun jg -> if Icfg.fid_of icfg jg = fid then Bitvec.set targets (snd (Prog.of_gid prog jg)))
           jns;
-        Fsam_graph.Reach.all_paths_hit g ~src:fk_idx ~targets ~exits:f.Func.exits)
+        Fsam_graph.Reach.all_paths_hit ~n:(Func.n_stmts f) ~succs:(Array.get f.Func.succ)
+          ~src:fk_idx ~targets ~exits:f.Func.exits)
   in
   let full_join_cache = Hashtbl.create 16 in
   let fully_joined tid' =
@@ -423,14 +412,6 @@ let build ?(max_ctx_depth = 24) prog ast icfg =
         (iid :: Option.value ~default:[] (Hashtbl.find_opt by_gid i_gid));
       Vec.set by_thread i_thread (iid :: Vec.get by_thread i_thread))
     st.e_insts;
-  let igraph =
-    lazy
-      (let g = Fsam_graph.Digraph.create ~size_hint:(Vec.length st.e_insts) () in
-       let n = Vec.length st.e_insts in
-       if n > 0 then Fsam_graph.Digraph.ensure_node g (n - 1);
-       Vec.iteri (fun i succs -> List.iter (fun j -> Fsam_graph.Digraph.add_edge g i j) succs) st.e_isucc;
-       g)
-  in
   {
     prog;
     ast;
@@ -448,7 +429,6 @@ let build ?(max_ctx_depth = 24) prog ast icfg =
     desc;
     anc;
     full_join_tbl;
-    igraph;
   }
 
 (* -- Queries -------------------------------------------------------------- *)
@@ -491,7 +471,6 @@ let entry_insts t tid = Vec.get t.entry_tbl tid
 let insts_of_gid t g = Option.value ~default:[] (Hashtbl.find_opt t.by_gid g)
 let insts_of_thread t tid = Vec.get t.by_thread tid
 let find_inst t ~thread ~ctx ~gid = Hashtbl.find_opt t.inst_index (thread, ctx, gid)
-let inst_graph t = Lazy.force t.igraph
 let fork_spawnees t iid = Option.value ~default:[] (Hashtbl.find_opt t.forks_at iid)
 let join_kills t iid = Option.value ~default:[] (Hashtbl.find_opt t.kills_at iid)
 
@@ -523,7 +502,6 @@ let happens_before t a b =
            match thcb.fork_gid with
            | None -> false
            | Some fk_gid ->
-             let g = inst_graph t in
              let targets = Bitvec.create ~capacity:(n_insts t) () in
              let have_target = ref false in
              Hashtbl.iter
@@ -546,7 +524,8 @@ let happens_before t a b =
                   (fun fk_inst ->
                     List.for_all
                       (fun src ->
-                        Fsam_graph.Reach.all_paths_hit g ~src ~targets ~exits:[ fk_inst ])
+                        Fsam_graph.Reach.all_paths_hit ~n:(n_insts t)
+                          ~succs:(Vec.get t.isucc) ~src ~targets ~exits:[ fk_inst ])
                       (entry_insts t tau))
                   fork_insts))
        (ancestors t b)

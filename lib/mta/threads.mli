@@ -66,8 +66,6 @@ val entry_insts : t -> int -> int list
 val insts_of_gid : t -> int -> int list
 val insts_of_thread : t -> int -> int list
 val find_inst : t -> thread:int -> ctx:Ctx.t -> gid:int -> int option
-val inst_graph : t -> Fsam_graph.Digraph.t
-(** Instance-level successor graph (all threads; no cross-thread edges). *)
 
 val fork_spawnees : t -> int -> int list
 (** Threads directly spawned by the given fork instance. *)

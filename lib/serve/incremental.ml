@@ -19,7 +19,7 @@ type stats = {
 (* Soundness argument, in one place.
 
    A work unit of the new solve is {e clean} when it is outside the forward
-   closure of the dirty seeds over [Sparse.dep_graph] — the graph with an
+   closure of the dirty seeds over [Sparse.dep_walk] — the relation with an
    edge u → w whenever processing u can enqueue w. The seeds are chosen so
    that every unit whose {e transfer inputs} could differ from the old run
    is seeded:
@@ -48,7 +48,7 @@ type stats = {
       reach such a pointer rules that out; the seeding closes like the
       rest, so it iterates with rule 2.
 
-   By induction over the drain: a clean unit's dep-graph predecessors are
+   By induction over the drain: a clean unit's dependency predecessors are
    all clean, its edge structure and bindings are the image of the old
    ones (rules 2–4), and its strong-update environment is unchanged
    (rules 4–5), so the old output facts — translated through the id maps —
@@ -253,11 +253,11 @@ let plan ~(diff : Diff.t) ~old_prog ~old_and ~old_svfg ~old_sparse
             = List.sort_uniq compare new_deps.Sparse.d_defs.(nv)
       end
     done;
-    let dep = Sparse.dep_graph new_prog new_svfg new_deps in
+    let dep = Sparse.dep_walk new_prog new_svfg new_deps in
     let close () =
       while not (Queue.is_empty pending) do
         let u = Queue.pop pending in
-        Fsam_graph.Digraph.iter_succs dep u (fun w ->
+        Sparse.iter_dep_succs dep u (fun w ->
             if w < n_units && not dirty.(w) then begin
               dirty.(w) <- true;
               Queue.push w pending
@@ -295,7 +295,7 @@ let plan ~(diff : Diff.t) ~old_prog ~old_and ~old_svfg ~old_sparse
           | Stmt.Store { dst; _ } when dirty.(g) -> List.iter visit new_deps.Sparse.d_defs.(dst)
           | _ -> ());
       while not (Queue.is_empty q) do
-        Fsam_graph.Digraph.iter_preds dep (Queue.pop q) visit
+        Sparse.iter_dep_preds dep (Queue.pop q) visit
       done;
       reach
     in

@@ -41,7 +41,7 @@ let test_nonsparse_per_point_graphs () =
   let icfg = Mta.Icfg.build prog ast in
   let tm = Mta.Threads.build prog ast icfg in
   let pcg = Mta.Pcg.compute tm icfg in
-  let singleton = Fsam_core.Singletons.compute prog ast tm icfg in
+  let singleton = Fsam_core.Singletons.compute prog tm icfg in
   match NS.solve prog ast icfg pcg ~singleton with
   | NS.Done ns ->
     (* before the second store (stmt 4), x holds oa; before the load

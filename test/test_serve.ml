@@ -473,6 +473,53 @@ let test_fields_of_sorted () =
     (Prog.find_field_obj p ~base:x ~field:"never");
   Alcotest.(check int) "no object materialised" n0 (Prog.n_objs p)
 
+(* -- the planner's dependency walk against the built-graph oracle ---------- *)
+
+(* Every unit's [iter_dep_succs] edges must be exactly the oracle graph's
+   edge set, and every unit's [iter_dep_preds] edges its transpose. *)
+let dep_walk_is_oracle source =
+  let prog = Fsam_frontend.Lower.compile_string source in
+  let d = D.run prog in
+  let deps = Sparse.compute_deps prog d.D.ast in
+  let oracle = ref [] in
+  Fsam_graph.Digraph.iter_edges (Oracle.Dep_graph.dep_graph prog d.D.svfg deps) (fun u w ->
+      oracle := (u, w) :: !oracle);
+  let walk = Sparse.dep_walk prog d.D.svfg deps in
+  let fwd = ref [] and bwd = ref [] in
+  for u = 0 to Sparse.unit_count prog d.D.svfg - 1 do
+    Sparse.iter_dep_succs walk u (fun w -> fwd := (u, w) :: !fwd);
+    Sparse.iter_dep_preds walk u (fun p -> bwd := (p, u) :: !bwd)
+  done;
+  let edges l = List.sort_uniq compare l in
+  let oracle = edges !oracle in
+  oracle <> [] && edges !fwd = oracle && edges !bwd = oracle
+
+let prop_dep_walk_is_oracle =
+  let module Synth = Fsam_workloads.Minic_synth in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map
+            (fun seed -> `Rand seed)
+            (1 -- 1000);
+          map
+            (fun ((seed, modules), (depth, stmts)) ->
+              `Synth { Synth.quick with Synth.seed; modules; chain_depth = depth; stmts_per_fn = stmts })
+            (pair (pair (1 -- 1000) (1 -- 3)) (pair (1 -- 6) (16 -- 40)));
+        ])
+  in
+  let print = function
+    | `Rand seed -> Printf.sprintf "Rand_minic seed %d" seed
+    | `Synth p ->
+      Printf.sprintf "Minic_synth seed %d modules %d depth %d stmts %d" p.Synth.seed
+        p.Synth.modules p.Synth.chain_depth p.Synth.stmts_per_fn
+  in
+  QCheck.Test.make ~count:20 ~name:"dependency walk equals the built-graph oracle"
+    (QCheck.make ~print gen) (function
+    | `Rand seed -> dep_walk_is_oracle (Fsam_workloads.Rand_minic.generate ~seed ~size:18)
+    | `Synth p -> dep_walk_is_oracle (Synth.generate p))
+
 let suite =
   [
     Alcotest.test_case "edit-differential" `Slow test_edit_differential;
@@ -485,4 +532,5 @@ let suite =
     Alcotest.test_case "telemetry-arming" `Quick test_telemetry_arming;
     Alcotest.test_case "run-determinism" `Quick test_run_determinism;
     Alcotest.test_case "fields-of-sorted" `Quick test_fields_of_sorted;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |]) prop_dep_walk_is_oracle;
   ]
