@@ -185,6 +185,7 @@ type warm = {
   w_pto : ((int * int) * Iset.t) list;
   w_units : int list;
   w_pass : int list;
+  w_deps : deps option;
 }
 
 let solve ?warm ?prov prog ast svfg ~singleton =
@@ -232,7 +233,10 @@ let solve ?warm ?prov prog ast svfg ~singleton =
   let unit_of_node n = unit_of_svfg_node prog svfg n in
   let n_units = unit_count prog svfg in
   let { d_users = var_users; _ } =
-    Obs.Span.with_ ~name:"sparse.index" (fun () -> compute_deps prog ast)
+    Obs.Span.with_ ~name:"sparse.index" (fun () ->
+        match Option.bind warm (fun w -> w.w_deps) with
+        | Some deps -> deps
+        | None -> compute_deps prog ast)
   in
   let queue = Queue.create () in
   let queued = Bitvec.create ~capacity:n_units () in

@@ -66,6 +66,9 @@ type warm = {
       (** stores known to be pass-through from the start: a snapshot
           restore's, or the clean ones of a warm edit (whose verdict cannot
           have changed) *)
+  w_deps : deps option;
+      (** this program's [compute_deps], when the caller already has it
+          (the incremental planner does); [None] computes it *)
 }
 (** A warm start: facts already known to be part of the least fixpoint
     (e.g. copied from a previous solve's clean slice, translated to this

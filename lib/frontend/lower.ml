@@ -233,7 +233,7 @@ let rec register_locals env ~body ~fid block =
       | _ -> ())
     block
 
-let lower (prog : Ast.program) : Prog.t =
+let lower_raw (prog : Ast.program) : Prog.t =
   let b = B.create () in
   let globals : (string, binding) Hashtbl.t = Hashtbl.create 32 in
   (* pass 1: declare functions *)
@@ -285,7 +285,10 @@ let lower (prog : Ast.program) : Prog.t =
   (match Validate.check ~ssa:false raw with
   | Ok () -> ()
   | Error es -> err "lowering produced invalid IR: %s" (String.concat "; " es));
-  let ssa = Ssa.transform raw in
+  raw
+
+let lower prog =
+  let ssa = Ssa.transform (lower_raw prog) in
   Validate.check_exn ssa;
   (* compact the structural nops the lowering emitted *)
   let compacted = Simplify.compact ssa in

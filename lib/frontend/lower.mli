@@ -13,5 +13,10 @@
 exception Error of string
 
 val lower : Ast.program -> Fsam_ir.Prog.t
+
+val lower_raw : Ast.program -> Fsam_ir.Prog.t
+(** The validated IR before SSA: what [lower] hands to
+    [Fsam_ir.Ssa.transform]. *)
+
 val compile_string : string -> Fsam_ir.Prog.t
 (** Parse + lower + SSA + validate. *)

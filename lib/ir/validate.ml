@@ -2,11 +2,25 @@ let check ?(ssa = true) p =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let n_vars = Prog.n_vars p and n_objs = Prog.n_objs p in
-  let def_site = Hashtbl.create 256 in
-  let var_func = Hashtbl.create 256 in
+  (* per-variable owner function and defined flag; the out-of-range ids an
+     invalid program may carry go to side tables *)
+  let var_func = Array.make n_vars (-1) and stray_func = Hashtbl.create 0 in
+  let defined = Array.make n_vars false and stray_def = Hashtbl.create 0 in
+  let in_range v = v >= 0 && v < n_vars in
+  let func_of v =
+    if in_range v then (match var_func.(v) with -1 -> None | f -> Some f)
+    else Hashtbl.find_opt stray_func v
+  in
+  let set_func v fid = if in_range v then var_func.(v) <- fid else Hashtbl.replace stray_func v fid in
+  (* marks [d] defined; true when it already was *)
+  let define d =
+    let seen = if in_range d then defined.(d) else Hashtbl.mem stray_def d in
+    if in_range d then defined.(d) <- true else Hashtbl.replace stray_def d ();
+    seen
+  in
   let seen_forks = Hashtbl.create 16 in
   let check_var fname what v =
-    if v < 0 || v >= n_vars then err "%s: %s variable id %d out of range" fname what v
+    if not (in_range v) then err "%s: %s variable id %d out of range" fname what v
   in
   Prog.iter_funcs p (fun f ->
       let fname = f.Func.fname in
@@ -15,7 +29,7 @@ let check ?(ssa = true) p =
       List.iter
         (fun pv ->
           check_var fname "param" pv;
-          Hashtbl.replace var_func pv f.Func.fid)
+          set_func pv f.Func.fid)
         f.Func.params;
       (* successor ranges + fallthrough off the end *)
       Array.iteri
@@ -39,28 +53,26 @@ let check ?(ssa = true) p =
           List.iter
             (fun v ->
               check_var fname "used" v;
-              match Hashtbl.find_opt var_func v with
+              match func_of v with
               | Some f' when f' <> f.Func.fid && ssa ->
                 err "%s: stmt %d uses variable %s belonging to %s" fname i
                   (Prog.var_name p v)
                   (Prog.func p f').Func.fname
-              | _ -> Hashtbl.replace var_func v f.Func.fid)
+              | _ -> set_func v f.Func.fid)
             (Stmt.uses s);
           (match Stmt.def s with
           | Some d -> (
             check_var fname "defined" d;
             if ssa && List.mem d f.Func.params then
               err "%s: stmt %d redefines parameter %s" fname i (Prog.var_name p d);
-            (match Hashtbl.find_opt var_func d with
+            (match func_of d with
             | Some f' when f' <> f.Func.fid && ssa ->
               err "%s: stmt %d defines variable of function %s" fname i
                 (Prog.func p f').Func.fname
-            | _ -> Hashtbl.replace var_func d f.Func.fid);
-            match Hashtbl.find_opt def_site d with
-            | Some _ when ssa ->
+            | _ -> set_func d f.Func.fid);
+            if define d && ssa then
               err "%s: stmt %d violates SSA: second definition of %s" fname i
-                (Prog.var_name p d)
-            | _ -> Hashtbl.replace def_site d (f.Func.fid, i))
+                (Prog.var_name p d))
           | None -> ());
           match s with
           | Stmt.Addr_of { obj; _ } ->

@@ -668,7 +668,13 @@ let edit_wait t =
   | Some p ->
     let r = Domain.join p.p_domain in
     t.pending <- None;
-    install t r
+    let r = install t r in
+    (* reclaim the replaced generation at once: otherwise a daemon that
+       answers queries beside async edits grows its peak RSS with every
+       edit cycle. The synchronous path does not: there the collection
+       would sit in every edit's latency. *)
+    Gc.full_major ();
+    r
 
 (* -- snapshot / restore ---------------------------------------------------- *)
 
@@ -797,7 +803,8 @@ let restore t path =
            pre-loaded this is ~one pass over the program; any fact the
            snapshot is missing would register as growth, which is rejected
            once the run returns. *)
-        Some { Sparse.w_ptv; w_pto; w_units = Sparse.all_units prog svfg; w_pass }
+        Some
+          { Sparse.w_ptv; w_pto; w_units = Sparse.all_units prog svfg; w_pass; w_deps = None }
       in
       let d =
         D.run ~config:t.config

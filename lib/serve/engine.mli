@@ -136,8 +136,9 @@ val edit_fn_async : t -> fn:string -> code:string -> (unit, string) result
 val edit_source_async : t -> string -> (unit, string) result
 
 val edit_wait : t -> (edit_info, string) result
-(** Join the in-flight asynchronous edit and install its generation.
-    [Error "no edit in flight"] when there is none. *)
+(** Join the in-flight asynchronous edit, install its generation and run a
+    full major collection, so the replaced generation is reclaimed at
+    once. [Error "no edit in flight"] when there is none. *)
 
 val snapshot : t -> string -> (unit, string) result
 (** Serialize the resident generation (source, AST, points-to facts as

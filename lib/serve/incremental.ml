@@ -111,14 +111,18 @@ let plan ~(diff : Diff.t) ~old_prog ~old_and ~old_svfg ~old_sparse
           Hashtbl.add obj_memo o r;
           r
     in
+    (* a set whose objects all map to themselves is its own image (the
+       rebuild would hash-cons to the same node), so it is not rebuilt *)
     let tr_set s =
-      Iset.fold
-        (fun o acc ->
-          match tr_obj o with
-          | Some n -> Iset.add n acc
-          | None ->
-            raise (Fallback (Printf.sprintf "object %d in a clean fact has no image" o)))
-        s Iset.empty
+      if Iset.for_all (fun o -> tr_obj o = Some o) s then s
+      else
+        Iset.fold
+          (fun o acc ->
+            match tr_obj o with
+            | Some n -> Iset.add n acc
+            | None ->
+              raise (Fallback (Printf.sprintf "object %d in a clean fact has no image" o)))
+          s Iset.empty
     in
     (* -- SVFG node maps -------------------------------------------------- *)
     let n_old_nodes = Svfg.n_nodes old_svfg in
@@ -370,6 +374,7 @@ let plan ~(diff : Diff.t) ~old_prog ~old_and ~old_svfg ~old_sparse
           w_pto = !w_pto;
           w_units = !w_units;
           w_pass = List.filter (fun g -> not dirty.(g)) old_pass;
+          w_deps = Some new_deps;
         },
         {
           s_units = n_units;

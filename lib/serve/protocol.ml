@@ -34,7 +34,7 @@ let create ?crash_telemetry ?stats eng =
   {
     eng;
     crash_telemetry;
-    stats = (match stats with Some s -> s | None -> Stats.create ());
+    stats = (match stats with Some s -> s | None -> Stats.create ~slow_ms:(-1.) ());
     requests = 0;
     last_edit = None;
     shutdown = false;

@@ -13,8 +13,9 @@ val create : ?crash_telemetry:string -> ?stats:Stats.t -> Engine.t -> t
 (** [crash_telemetry], when given, is armed as a crash-flush target around
     each request and idempotently disarmed on reply
     ([Fsam_core.Telemetry.armed] is [false] between requests). [stats]
-    defaults to [Stats.create ()] (flight recorder on, slow-query log to
-    stderr over 100 ms). *)
+    defaults to [Stats.create ~slow_ms:(-1.) ()]: flight recorder on,
+    slow-query log off, so an embedding program's stderr stays quiet.
+    [fsam serve] passes its own stats with the log on. *)
 
 val stats : t -> Stats.t
 

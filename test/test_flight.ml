@@ -151,6 +151,12 @@ let test_slow_threshold_boundary () =
   note 1001;
   Alcotest.(check int) "over threshold logged" 1 (Stats.slow_logged stats);
   Stats.close stats;
+  (* a protocol embedded without its own stats keeps the log off *)
+  let quiet = Protocol.stats (Protocol.create (Engine.create ())) in
+  Stats.note quiet ~seq:1 ~op:"edit" ~us:10_000_000 ~cpu_us:0 ~ok:true ~err:None ~gen:1
+    ~dirty:(-1) ~bytes_in:10 ~bytes_out:20 ~req:(J.Obj []) ~phases:None;
+  Alcotest.(check int) "embedded default logs nothing" 0 (Stats.slow_logged quiet);
+  Stats.close quiet;
   let ic = open_in path in
   let line = input_line ic in
   close_in ic;

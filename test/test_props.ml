@@ -190,6 +190,7 @@ let prop_warm_solve_sweep =
             w_pto = !w_pto;
             w_units = S.all_units prog svfg;
             w_pass = S.passthrough cold.D.sparse;
+            w_deps = None;
           }
       in
       let warm = D.run ~warm:{ D.cold_hooks with D.wh_solve = sweep } prog in

@@ -116,7 +116,7 @@ let test_order_independent () =
   let units = Sparse.all_units prog d.D.svfg in
   let solve order =
     Sparse.solve
-      ~warm:{ Sparse.w_ptv = [||]; w_pto = []; w_units = order; w_pass = [] }
+      ~warm:{ Sparse.w_ptv = [||]; w_pto = []; w_units = order; w_pass = []; w_deps = None }
       prog d.D.ast d.D.svfg ~singleton:d.D.singleton
   in
   let shuffled =
