@@ -438,9 +438,8 @@ let vf () =
       let (idx_checks, idx_wall), (nv_checks, nv_wall) = query_replay d1 in
       let ratio = float_of_int nv_checks /. float_of_int (max 1 idx_checks) in
       last_ratio := ratio;
-      let t = d1.D.times in
       Printf.printf "%-8s %7d %7d | %9d %9d | %5.1fx | %10.3f\n" name threads
-        (Mta.Threads.n_insts d1.D.tm) idx_checks nv_checks ratio t.D.t_svfg;
+        (Mta.Threads.n_insts d1.D.tm) idx_checks nv_checks ratio (D.phase_s d1 "phase.svfg");
       flush stdout;
       rows :=
         J.Obj
@@ -448,16 +447,7 @@ let vf () =
             ("program", J.String name);
             ("threads", J.Int threads);
             ("insts", J.Int (Mta.Threads.n_insts d1.D.tm));
-            ( "phases_s",
-              J.Obj
-                [
-                  ("pre", J.Float t.D.t_pre);
-                  ("thread_model", J.Float t.D.t_thread_model);
-                  ("interleaving", J.Float t.D.t_interleaving);
-                  ("lock", J.Float t.D.t_lock);
-                  ("svfg", J.Float t.D.t_svfg);
-                  ("solve", J.Float t.D.t_solve);
-                ] );
+            ("phases_s", Fsam_core.Report.phase_seconds d1.D.root);
             ("counters", J.Obj (List.map (fun (n, v) -> (n, J.Int v)) counters1));
             ( "query_replay",
               J.Obj
@@ -703,6 +693,19 @@ let serve_load eng source =
     Printf.eprintf "error: serve load failed: %s\n" e;
     exit 1
 
+(* edit row key -> span name of the warm run *)
+let serve_phase_walls =
+  [
+    ("andersen_wall_s", "phase.pre");
+    ("threads_wall_s", "phase.threads");
+    ("mhp_wall_s", "phase.mhp");
+    ("locks_wall_s", "phase.locks");
+    ("svfg_wall_s", "phase.svfg");
+    ("solve_wall_s", "phase.solve");
+    ("solve_plan_s", "solve.plan");
+    ("solve_preload_s", "solve.preload");
+  ]
+
 (* Apply [script] to the loaded engine, one edit at a time, and render one
    row per edit: the exact warm/cold pre-phase work and propagation
    counters, the identity verdict (differential mode only), which phases
@@ -746,16 +749,9 @@ let serve_edits eng ~source ~load_pre_work ~after_edit script =
       let phase_walls =
         match info.Eng.e_phases with
         | Some p ->
-          [
-            ("andersen_wall_s", J.Float p.Eng.ph_pre_s);
-            ("threads_wall_s", J.Float p.Eng.ph_threads_s);
-            ("mhp_wall_s", J.Float p.Eng.ph_mhp_s);
-            ("locks_wall_s", J.Float p.Eng.ph_locks_s);
-            ("svfg_wall_s", J.Float p.Eng.ph_svfg_s);
-            ("solve_wall_s", J.Float p.Eng.ph_solve_s);
-            ("solve_plan_s", J.Float p.Eng.ph_solve_plan_s);
-            ("solve_preload_s", J.Float p.Eng.ph_solve_preload_s);
-          ]
+          List.map
+            (fun (k, name) -> (k, J.Float (Fsam_obs.Span.duration name p.Eng.ph_run)))
+            serve_phase_walls
         | None -> []
       in
       let mode = match info.Eng.e_mode with `Incremental -> "incremental" | `Cold -> "cold" in

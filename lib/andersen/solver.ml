@@ -463,202 +463,211 @@ let run_warm prog ~warm =
     else if not forks_equal then Error "andersen_fork_drift"
     else begin
       let memo_hits0, memo_misses0 = Iset.union_memo_stats () in
-      let old_size = Array.length old.pts in
-      let old_rep n = Uf.find old.uf n in
-      (* -- affected closure over the old state -- *)
-      let marked = Bitvec.create ~capacity:old_size () in
-      let cq = Queue.create () in
-      let mark n =
-        if n >= 0 && n < old_size then begin
-          let r = old_rep n in
-          if Bitvec.set_if_unset marked r then Queue.add r cq
-        end
-      in
-      let mark_var v = mark v in
-      let mark_obj o = mark (old.nvars + o) in
-      (* roots *)
-      Array.iteri (fun v nv -> if nv = -1 then mark_var v) warm.ws_var_map;
-      List.iter
-        (fun fid ->
-          let f = Prog.func oldp fid in
-          List.iter mark_var f.Func.params;
-          Func.iter_stmts f (fun _ s ->
-              (match Stmt.def s with Some v -> mark_var v | None -> ());
-              List.iter mark_var (Stmt.uses s);
-              match s with
-              | Stmt.Call { target = Stmt.Direct g; _ }
-              | Stmt.Fork { target = Stmt.Direct g; _ } ->
-                List.iter mark_var (Prog.func oldp g).Func.params
-              | _ -> ()))
-        warm.ws_dirty_fids;
-      (* closure rules *)
-      while not (Queue.is_empty cq) do
-        let r = Queue.pop cq in
-        Iset.iter mark old.succs.(r);
-        (match Hashtbl.find_opt old.loads r with
-        | Some dsts -> List.iter mark_var dsts
-        | None -> ());
-        (match Hashtbl.find_opt old.stores r with
-        | Some _ -> Iset.iter mark_obj old.pts.(r)
-        | None -> ());
-        (match Hashtbl.find_opt old.geps r with
-        | Some gs -> List.iter (fun (p, _) -> mark_var p) gs
-        | None -> ());
-        (match Hashtbl.find_opt old.forks r with
-        | Some _ -> Iset.iter mark_obj old.pts.(r)
-        | None -> ());
-        match Hashtbl.find_opt old.icalls r with
-        | Some css ->
-          Iset.iter
-            (fun o ->
-              match (Prog.obj oldp o).Memobj.kind with
-              | Memobj.Func fid ->
-                List.iter mark_var (Prog.func oldp fid).Func.params;
-                List.iter mark_var old.ret_tbl.(fid)
-              | _ -> ())
-            old.pts.(r);
-          List.iter (fun cs -> match cs.cs_ret with Some v -> mark_var v | None -> ()) css
-        | None -> ()
-      done;
-      let aff_old n = Bitvec.get marked (old_rep n) in
-      (* -- build the new state -- *)
-      let t = mk_state prog in
-      let nvars_new = t.nvars in
-      let n_objs = Prog.n_objs prog in
-      let img n = if n < old.nvars then warm.ws_var_map.(n) else nvars_new + (n - old.nvars) in
-      (* pre-union surviving merged classes so their shared value is
-         preloaded once at the surviving representative *)
-      for n = 0 to old.nvars + n_objs - 1 do
-        let r = old_rep n in
-        if r <> n && not (Bitvec.get marked r) then begin
-          let ik = img r and ia = img n in
-          if ik >= 0 && ia >= 0 then ignore (Uf.union_to t.uf ~keep:ik ~absorb:ia)
-        end
-      done;
-      (* preload clean values (object ids are identical across generations,
-         so the old hash-consed sets are reused verbatim) *)
-      let preloaded = ref 0 in
-      let preload_new x px =
-        if not (aff_old px) then begin
-          let x' = Uf.find t.uf x in
-          if Iset.is_empty t.pts.(x') then begin
-            let v = old.pts.(old_rep px) in
-            t.pts.(x') <- v;
-            t.prop.(x') <- v;
-            incr preloaded
-          end
-        end
-      in
-      let var_inv = Array.make nvars_new (-1) in
-      Array.iteri
-        (fun ov nv -> if nv >= 0 && nv < nvars_new then var_inv.(nv) <- ov)
-        warm.ws_var_map;
-      for x = 0 to nvars_new - 1 do
-        let ov = var_inv.(x) in
-        if ov >= 0 then preload_new x ov
-      done;
-      for o = 0 to n_objs - 1 do
-        preload_new (nvars_new + o) (old.nvars + o)
-      done;
-      (* replay clean-to-clean copy edges (including derived load/store
-         edges — a clean trigger justifies them in the new program too) *)
-      for u = 0 to old_size - 1 do
-        if old_rep u = u && not (Bitvec.get marked u) then
-          Iset.iter
-            (fun v ->
-              if not (aff_old v) then begin
-                let iu = img u and iv = img v in
-                if iu >= 0 && iv >= 0 then begin
-                  let iu = Uf.find t.uf iu and iv = Uf.find t.uf iv in
-                  if iu <> iv then t.succs.(iu) <- Iset.add iv t.succs.(iu)
-                end
-              end)
-            old.succs.(u)
-      done;
-      (* all new-program constraints; no-op pushes on clean nodes *)
-      Obs.Span.with_ ~name:"andersen.constraints" (fun () -> add_constraints t prog);
-      (* clean indirect call/fork sites: either preseed their resolved
-         bindings' bookkeeping, or — if any binding target was re-solved —
-         re-enqueue the site so [process] re-derives the bindings *)
-      let frontier = ref [] in
-      let enqueue_frontier n =
-        let x = img n in
-        if x >= 0 then frontier := x :: !frontier
-      in
-      Hashtbl.iter
-        (fun n css ->
-          if not (Bitvec.get marked (old_rep n)) then begin
-            let bind_targets_clean =
-              (not
-                 (Iset.exists
-                    (fun o ->
-                      match (Prog.obj oldp o).Memobj.kind with
-                      | Memobj.Func fid ->
-                        List.exists aff_old (Prog.func oldp fid).Func.params
-                        || List.exists aff_old old.ret_tbl.(fid)
-                      | _ -> false)
-                    old.pts.(old_rep n)))
-              && not
-                   (List.exists
-                      (fun cs ->
-                        match cs.cs_ret with Some v -> aff_old v | None -> false)
-                      css)
+      (* everything between the old fixpoint and the new worklist drain:
+         the affected closure, the new state, the preload, the edge replay
+         and the frontier scan *)
+      let t, n_preloaded, n_affected =
+        Obs.Span.with_ ~name:"andersen.warm_seed" (fun () ->
+            let old_size = Array.length old.pts in
+            let old_rep n = Uf.find old.uf n in
+            (* -- affected closure over the old state -- *)
+            let marked = Bitvec.create ~capacity:old_size () in
+            let cq = Queue.create () in
+            let mark n =
+              if n >= 0 && n < old_size then begin
+                let r = old_rep n in
+                if Bitvec.set_if_unset marked r then Queue.add r cq
+              end
             in
-            if not bind_targets_clean then enqueue_frontier n
-            else
-              Iset.iter
-                (fun o ->
-                  match (Prog.obj oldp o).Memobj.kind with
-                  | Memobj.Func fid ->
-                    List.iter
-                      (fun cs ->
-                        let key = (cs.cs_fid, cs.cs_idx, fid) in
-                        if not (Hashtbl.mem t.connected key) then begin
-                          Hashtbl.replace t.connected key ();
-                          (match Hashtbl.find_opt t.callee_tbl (cs.cs_fid, cs.cs_idx) with
-                          | Some l -> l := fid :: !l
-                          | None ->
-                            Hashtbl.replace t.callee_tbl (cs.cs_fid, cs.cs_idx)
-                              (ref [ fid ]));
-                          Fsam_graph.Digraph.add_edge t.cg cs.cs_fid fid;
-                          if cs.cs_fork then begin
-                            match Func.stmt (Prog.func prog cs.cs_fid) cs.cs_idx with
-                            | Stmt.Fork { fork_id; _ } ->
-                              let l = t.fork_tgts.(fork_id) in
-                              if not (List.mem fid !l) then l := fid :: !l
-                            | _ -> ()
-                          end
-                        end)
-                      css
-                  | _ -> ())
-                old.pts.(old_rep n)
-          end)
-        old.icalls;
-      (* clean complex nodes whose outputs were re-solved must re-derive
-         the edges into them *)
-      let check_outputs tbl outputs_affected =
-        Hashtbl.iter
-          (fun n x ->
-            if not (Bitvec.get marked (old_rep n)) && outputs_affected n x then
-              enqueue_frontier n)
-          tbl
+            let mark_var v = mark v in
+            let mark_obj o = mark (old.nvars + o) in
+            (* roots *)
+            Array.iteri (fun v nv -> if nv = -1 then mark_var v) warm.ws_var_map;
+            List.iter
+              (fun fid ->
+                let f = Prog.func oldp fid in
+                List.iter mark_var f.Func.params;
+                Func.iter_stmts f (fun _ s ->
+                    (match Stmt.def s with Some v -> mark_var v | None -> ());
+                    List.iter mark_var (Stmt.uses s);
+                    match s with
+                    | Stmt.Call { target = Stmt.Direct g; _ }
+                    | Stmt.Fork { target = Stmt.Direct g; _ } ->
+                      List.iter mark_var (Prog.func oldp g).Func.params
+                    | _ -> ()))
+              warm.ws_dirty_fids;
+            (* closure rules *)
+            while not (Queue.is_empty cq) do
+              let r = Queue.pop cq in
+              Iset.iter mark old.succs.(r);
+              (match Hashtbl.find_opt old.loads r with
+              | Some dsts -> List.iter mark_var dsts
+              | None -> ());
+              (match Hashtbl.find_opt old.stores r with
+              | Some _ -> Iset.iter mark_obj old.pts.(r)
+              | None -> ());
+              (match Hashtbl.find_opt old.geps r with
+              | Some gs -> List.iter (fun (p, _) -> mark_var p) gs
+              | None -> ());
+              (match Hashtbl.find_opt old.forks r with
+              | Some _ -> Iset.iter mark_obj old.pts.(r)
+              | None -> ());
+              match Hashtbl.find_opt old.icalls r with
+              | Some css ->
+                Iset.iter
+                  (fun o ->
+                    match (Prog.obj oldp o).Memobj.kind with
+                    | Memobj.Func fid ->
+                      List.iter mark_var (Prog.func oldp fid).Func.params;
+                      List.iter mark_var old.ret_tbl.(fid)
+                    | _ -> ())
+                  old.pts.(r);
+                List.iter (fun cs -> match cs.cs_ret with Some v -> mark_var v | None -> ()) css
+              | None -> ()
+            done;
+            let aff_old n = Bitvec.get marked (old_rep n) in
+            (* -- build the new state -- *)
+            let t = mk_state prog in
+            let nvars_new = t.nvars in
+            let n_objs = Prog.n_objs prog in
+            let img n =
+              if n < old.nvars then warm.ws_var_map.(n) else nvars_new + (n - old.nvars)
+            in
+            (* pre-union surviving merged classes so their shared value is
+               preloaded once at the surviving representative *)
+            for n = 0 to old.nvars + n_objs - 1 do
+              let r = old_rep n in
+              if r <> n && not (Bitvec.get marked r) then begin
+                let ik = img r and ia = img n in
+                if ik >= 0 && ia >= 0 then ignore (Uf.union_to t.uf ~keep:ik ~absorb:ia)
+              end
+            done;
+            (* preload clean values (object ids are identical across generations,
+               so the old hash-consed sets are reused verbatim) *)
+            let preloaded = ref 0 in
+            let preload_new x px =
+              if not (aff_old px) then begin
+                let x' = Uf.find t.uf x in
+                if Iset.is_empty t.pts.(x') then begin
+                  let v = old.pts.(old_rep px) in
+                  t.pts.(x') <- v;
+                  t.prop.(x') <- v;
+                  incr preloaded
+                end
+              end
+            in
+            let var_inv = Array.make nvars_new (-1) in
+            Array.iteri
+              (fun ov nv -> if nv >= 0 && nv < nvars_new then var_inv.(nv) <- ov)
+              warm.ws_var_map;
+            for x = 0 to nvars_new - 1 do
+              let ov = var_inv.(x) in
+              if ov >= 0 then preload_new x ov
+            done;
+            for o = 0 to n_objs - 1 do
+              preload_new (nvars_new + o) (old.nvars + o)
+            done;
+            (* replay clean-to-clean copy edges (including derived load/store
+               edges — a clean trigger justifies them in the new program too) *)
+            for u = 0 to old_size - 1 do
+              if old_rep u = u && not (Bitvec.get marked u) then
+                Iset.iter
+                  (fun v ->
+                    if not (aff_old v) then begin
+                      let iu = img u and iv = img v in
+                      if iu >= 0 && iv >= 0 then begin
+                        let iu = Uf.find t.uf iu and iv = Uf.find t.uf iv in
+                        if iu <> iv then t.succs.(iu) <- Iset.add iv t.succs.(iu)
+                      end
+                    end)
+                  old.succs.(u)
+            done;
+            (* all new-program constraints; no-op pushes on clean nodes *)
+            Obs.Span.with_ ~name:"andersen.constraints" (fun () -> add_constraints t prog);
+            (* clean indirect call/fork sites: either preseed their resolved
+               bindings' bookkeeping, or — if any binding target was re-solved —
+               re-enqueue the site so [process] re-derives the bindings *)
+            let frontier = ref [] in
+            let enqueue_frontier n =
+              let x = img n in
+              if x >= 0 then frontier := x :: !frontier
+            in
+            Hashtbl.iter
+              (fun n css ->
+                if not (Bitvec.get marked (old_rep n)) then begin
+                  let bind_targets_clean =
+                    (not
+                       (Iset.exists
+                          (fun o ->
+                            match (Prog.obj oldp o).Memobj.kind with
+                            | Memobj.Func fid ->
+                              List.exists aff_old (Prog.func oldp fid).Func.params
+                              || List.exists aff_old old.ret_tbl.(fid)
+                            | _ -> false)
+                          old.pts.(old_rep n)))
+                    && not
+                         (List.exists
+                            (fun cs ->
+                              match cs.cs_ret with Some v -> aff_old v | None -> false)
+                            css)
+                  in
+                  if not bind_targets_clean then enqueue_frontier n
+                  else
+                    Iset.iter
+                      (fun o ->
+                        match (Prog.obj oldp o).Memobj.kind with
+                        | Memobj.Func fid ->
+                          List.iter
+                            (fun cs ->
+                              let key = (cs.cs_fid, cs.cs_idx, fid) in
+                              if not (Hashtbl.mem t.connected key) then begin
+                                Hashtbl.replace t.connected key ();
+                                (match Hashtbl.find_opt t.callee_tbl (cs.cs_fid, cs.cs_idx) with
+                                | Some l -> l := fid :: !l
+                                | None ->
+                                  Hashtbl.replace t.callee_tbl (cs.cs_fid, cs.cs_idx)
+                                    (ref [ fid ]));
+                                Fsam_graph.Digraph.add_edge t.cg cs.cs_fid fid;
+                                if cs.cs_fork then begin
+                                  match Func.stmt (Prog.func prog cs.cs_fid) cs.cs_idx with
+                                  | Stmt.Fork { fork_id; _ } ->
+                                    let l = t.fork_tgts.(fork_id) in
+                                    if not (List.mem fid !l) then l := fid :: !l
+                                  | _ -> ()
+                                end
+                              end)
+                            css
+                        | _ -> ())
+                      old.pts.(old_rep n)
+                end)
+              old.icalls;
+            (* clean complex nodes whose outputs were re-solved must re-derive
+               the edges into them *)
+            let check_outputs tbl outputs_affected =
+              Hashtbl.iter
+                (fun n x ->
+                  if not (Bitvec.get marked (old_rep n)) && outputs_affected n x then
+                    enqueue_frontier n)
+                tbl
+            in
+            check_outputs old.loads (fun _ dsts -> List.exists aff_old dsts);
+            check_outputs old.stores (fun n _ ->
+                Iset.exists (fun o -> aff_old (old.nvars + o)) old.pts.(old_rep n));
+            check_outputs old.geps (fun _ gs -> List.exists (fun (p, _) -> aff_old p) gs);
+            check_outputs old.forks (fun n _ ->
+                Iset.exists (fun o -> aff_old (old.nvars + o)) old.pts.(old_rep n));
+            List.iter
+              (fun x ->
+                let x = rep t x in
+                t.prop.(x) <- Iset.empty;
+                push t x)
+              !frontier;
+            (t, !preloaded, Bitvec.cardinal marked))
       in
-      check_outputs old.loads (fun _ dsts -> List.exists aff_old dsts);
-      check_outputs old.stores (fun n _ ->
-          Iset.exists (fun o -> aff_old (old.nvars + o)) old.pts.(old_rep n));
-      check_outputs old.geps (fun _ gs -> List.exists (fun (p, _) -> aff_old p) gs);
-      check_outputs old.forks (fun n _ ->
-          Iset.exists (fun o -> aff_old (old.nvars + o)) old.pts.(old_rep n));
-      List.iter
-        (fun x ->
-          let x = rep t x in
-          t.prop.(x) <- Iset.empty;
-          push t x)
-        !frontier;
       fixpoint t;
       Obs.Metrics.(add (counter "andersen.warm_runs") 1);
-      Obs.Metrics.(set (gauge "andersen.warm_preloaded") !preloaded);
-      Obs.Metrics.(set (gauge "andersen.warm_affected") (Bitvec.cardinal marked));
+      Obs.Metrics.(set (gauge "andersen.warm_preloaded") n_preloaded);
+      Obs.Metrics.(set (gauge "andersen.warm_affected") n_affected);
       flush_metrics t ~memo_hits0 ~memo_misses0;
       Ok t
     end

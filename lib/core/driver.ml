@@ -30,15 +30,6 @@ let no_value_flow =
 
 let no_lock = { default_config with svfg = { Svfg.default_config with use_lock = false } }
 
-type phase_times = {
-  t_pre : float;
-  t_thread_model : float;
-  t_interleaving : float;
-  t_lock : float;
-  t_svfg : float;
-  t_solve : float;
-}
-
 (* Per-phase warm-start hooks (the fsam serve engine's incremental edit
    path and snapshot restore). Each hook may produce the phase's result
    from the previous generation — [None] falls back to the normal cold
@@ -87,13 +78,14 @@ type t = {
   svfg : Svfg.t;
   singleton : int -> bool;
   sparse : Sparse.t;
-  times : phase_times;
+  root : Obs.Span.t;
   prov : Fsam_prov.t option;
 }
 
 (* Each [run] owns the process-global observability buffers: spans and
    metrics are reset at entry, so after [run] returns they describe exactly
-   that pipeline execution (exported by [Telemetry]). *)
+   that pipeline execution (exported by [Telemetry]); the result keeps its
+   own copy of the tree in [root], which later runs cannot touch. *)
 let run ?(config = default_config) ?warm prog =
   Validate.check_exn prog;
   Obs.Span.reset ();
@@ -106,82 +98,66 @@ let run ?(config = default_config) ?warm prog =
     | None -> compute ()
     | Some h -> ( match get h with Some v -> v | None -> compute ())
   in
-  Obs.Span.with_ ~name:"fsam.run" (fun () ->
-      let (ast, modref), sp_pre =
-        Obs.Span.with_timed ~name:"phase.pre" (fun () ->
-            let ast = try_warm (fun h -> h.wh_andersen prog) (fun () -> A.run ?prov prog) in
-            let modref =
-              Obs.Span.with_ ~name:"modref.compute" (fun () -> Modref.compute prog ast)
-            in
-            (ast, modref))
-      in
-      let (icfg, tm), sp_threads =
-        Obs.Span.with_timed ~name:"phase.threads" (fun () ->
-            try_warm
-              (fun h -> h.wh_thread_model prog ast)
-              (fun () ->
-                let icfg =
-                  Obs.Span.with_ ~name:"icfg.build" (fun () -> Mta.Icfg.build prog ast)
-                in
-                let tm =
-                  Obs.Span.with_ ~name:"threads.build" (fun () ->
-                      Mta.Threads.build ~max_ctx_depth:config.max_ctx_depth prog ast icfg)
-                in
-                (icfg, tm)))
-      in
-      let mhp, sp_mhp =
-        Obs.Span.with_timed ~name:"phase.mhp" (fun () ->
-            try_warm (fun h -> h.wh_mhp tm) (fun () -> Mta.Mhp.compute tm))
-      in
-      let locks, sp_lock =
-        Obs.Span.with_timed ~name:"phase.locks" (fun () ->
-            try_warm
-              (fun h -> h.wh_locks prog ast tm)
-              (fun () -> Mta.Locks.compute prog ast tm))
-      in
-      let pcg = Obs.Span.with_ ~name:"pcg.compute" (fun () -> Mta.Pcg.compute tm icfg) in
-      let svfg, sp_svfg =
-        Obs.Span.with_timed ~name:"phase.svfg" (fun () ->
-            try_warm
-              (fun h -> h.wh_svfg prog ast modref icfg tm mhp locks pcg)
-              (fun () ->
-                Svfg.build ~config:config.svfg ?prov prog ast modref icfg tm mhp locks pcg))
-      in
-      let (singleton, sparse), sp_solve =
-        Obs.Span.with_timed ~name:"phase.solve" (fun () ->
-            let singleton =
-              Obs.Span.with_ ~name:"singletons.compute" (fun () ->
-                  Singletons.compute prog tm icfg)
-            in
-            let warm = Option.bind warm (fun h -> h.wh_solve prog ast svfg ~singleton) in
-            (singleton, Sparse.solve ?warm ?prov prog ast svfg ~singleton))
-      in
-      (match prov with
-      | Some r -> Obs.Metrics.(set (gauge "prov.records") (Fsam_prov.n_records r))
-      | None -> ());
-      {
-        prog;
-        ast;
-        modref;
-        icfg;
-        tm;
-        mhp;
-        locks;
-        pcg;
-        svfg;
-        singleton;
-        sparse;
-        times =
-          {
-            t_pre = sp_pre.Obs.Span.dur_s;
-            t_thread_model = sp_threads.Obs.Span.dur_s;
-            t_interleaving = sp_mhp.Obs.Span.dur_s;
-            t_lock = sp_lock.Obs.Span.dur_s;
-            t_svfg = sp_svfg.Obs.Span.dur_s;
-            t_solve = sp_solve.Obs.Span.dur_s;
-          };
-        prov;
-      })
+  let mk, root =
+    Obs.Span.with_timed ~name:"fsam.run" (fun () ->
+        let ast, modref =
+          Obs.Span.with_ ~name:"phase.pre" (fun () ->
+              let ast = try_warm (fun h -> h.wh_andersen prog) (fun () -> A.run ?prov prog) in
+              let modref =
+                Obs.Span.with_ ~name:"modref.compute" (fun () -> Modref.compute prog ast)
+              in
+              (ast, modref))
+        in
+        let icfg, tm =
+          Obs.Span.with_ ~name:"phase.threads" (fun () ->
+              try_warm
+                (fun h -> h.wh_thread_model prog ast)
+                (fun () ->
+                  let icfg =
+                    Obs.Span.with_ ~name:"icfg.build" (fun () -> Mta.Icfg.build prog ast)
+                  in
+                  let tm =
+                    Obs.Span.with_ ~name:"threads.build" (fun () ->
+                        Mta.Threads.build ~max_ctx_depth:config.max_ctx_depth prog ast icfg)
+                  in
+                  (icfg, tm)))
+        in
+        let mhp =
+          Obs.Span.with_ ~name:"phase.mhp" (fun () ->
+              try_warm (fun h -> h.wh_mhp tm) (fun () -> Mta.Mhp.compute tm))
+        in
+        let locks =
+          Obs.Span.with_ ~name:"phase.locks" (fun () ->
+              try_warm
+                (fun h -> h.wh_locks prog ast tm)
+                (fun () -> Mta.Locks.compute prog ast tm))
+        in
+        let pcg = Obs.Span.with_ ~name:"pcg.compute" (fun () -> Mta.Pcg.compute tm icfg) in
+        let svfg =
+          Obs.Span.with_ ~name:"phase.svfg" (fun () ->
+              try_warm
+                (fun h -> h.wh_svfg prog ast modref icfg tm mhp locks pcg)
+                (fun () ->
+                  Svfg.build ~config:config.svfg ?prov prog ast modref icfg tm mhp locks pcg))
+        in
+        let singleton, sparse =
+          Obs.Span.with_ ~name:"phase.solve" (fun () ->
+              let singleton =
+                Obs.Span.with_ ~name:"singletons.compute" (fun () ->
+                    Singletons.compute prog tm icfg)
+              in
+              let warm = Option.bind warm (fun h -> h.wh_solve prog ast svfg ~singleton) in
+              (singleton, Sparse.solve ?warm ?prov prog ast svfg ~singleton))
+        in
+        (match prov with
+        | Some r -> Obs.Metrics.(set (gauge "prov.records") (Fsam_prov.n_records r))
+        | None -> ());
+        (* the record holds the [fsam.run] span, complete only once this
+           body has returned *)
+        fun root ->
+          { prog; ast; modref; icfg; tm; mhp; locks; pcg; svfg; singleton; sparse; root; prov })
+  in
+  mk root
 
 let run_nonsparse ?(config = default_config) prog =
   Validate.check_exn prog;
@@ -190,8 +166,8 @@ let run_nonsparse ?(config = default_config) prog =
   let outcome, root =
     Obs.Span.with_timed ~name:"nonsparse.run" (fun () ->
         let t0 = Sys.time () in
-        let (ast, icfg, pcg, singleton), _ =
-          Obs.Span.with_timed ~name:"phase.pre" (fun () ->
+        let ast, icfg, pcg, singleton =
+          Obs.Span.with_ ~name:"phase.pre" (fun () ->
               let ast = A.run prog in
               let icfg = Obs.Span.with_ ~name:"icfg.build" (fun () -> Mta.Icfg.build prog ast) in
               let tm =
@@ -225,9 +201,7 @@ let pt_names t v =
 
 let alias t a b = not (Fsam_dsa.Iset.disjoint (pt t a) (pt t b))
 
-let total_time t =
-  t.times.t_pre +. t.times.t_thread_model +. t.times.t_interleaving +. t.times.t_lock
-  +. t.times.t_svfg +. t.times.t_solve
+let phase_s t name = Obs.Span.duration name t.root
 
 let memory_entries t = Sparse.pts_entries t.sparse
 
@@ -240,5 +214,5 @@ let pp_summary ppf t =
     \  %a@,\
      \  phases: pre %.3fs, threads %.3fs, mhp %.3fs, locks %.3fs, svfg %.3fs, solve %.3fs@]"
     A.pp_stats t.ast Mta.Threads.pp_stats t.tm Svfg.pp_stats t.svfg Sparse.pp_stats t.sparse
-    t.times.t_pre t.times.t_thread_model t.times.t_interleaving t.times.t_lock t.times.t_svfg
-    t.times.t_solve
+    (phase_s t "phase.pre") (phase_s t "phase.threads") (phase_s t "phase.mhp")
+    (phase_s t "phase.locks") (phase_s t "phase.svfg") (phase_s t "phase.solve")

@@ -26,20 +26,6 @@ val no_value_flow : config  (** configuration (2) *)
 
 val no_lock : config  (** configuration (3) *)
 
-type phase_times = {
-  t_pre : float;  (** Andersen + mod/ref *)
-  t_thread_model : float;  (** ICFG + thread model *)
-  t_interleaving : float;  (** MHP analysis *)
-  t_lock : float;  (** lock-span analysis *)
-  t_svfg : float;  (** def-use construction incl. value-flow phase *)
-  t_solve : float;  (** singleton detection + sparse solve *)
-}
-(** Per-phase {e wall-clock} seconds (historically these were [Sys.time]
-    CPU seconds). Each field is the duration of the matching [phase.*]
-    span; the full span tree — with CPU time and allocation deltas — is
-    available from [Fsam_obs.Span.roots] after [run] returns, and the
-    benchmark harness reports CPU time separately via [Measure]. *)
-
 type t = {
   prog : Prog.t;
   ast : Fsam_andersen.Solver.t;
@@ -54,7 +40,9 @@ type t = {
       (** the strong-update singleton predicate the solve used — an input
           to the next edit's incremental plan *)
   sparse : Sparse.t;
-  times : phase_times;
+  root : Fsam_obs.Span.t;
+      (** this run's [fsam.run] span tree, with one [phase.*] child per
+          phase; kept here so later runs cannot overwrite it *)
   prov : Fsam_prov.t option;
       (** the derivation recorder — [Some] iff [config.provenance] *)
 }
@@ -101,9 +89,14 @@ val cold_hooks : warm_hooks
 val run : ?config:config -> ?warm:warm_hooks -> Prog.t -> t
 (** Runs the full FSAM pipeline. The program must be in partial SSA
     (checked). Resets [Fsam_obs] (spans and metrics) at entry; after it
-    returns, the global span tree and metrics registry describe this run.
-    Without [?warm] every phase runs cold; with it, each phase first asks
-    its hook. *)
+    returns, the global span tree and metrics registry describe this run,
+    and [root] holds the same tree. Without [?warm] every phase runs cold;
+    with it, each phase first asks its hook. *)
+
+val phase_s : t -> string -> float
+(** Wall seconds of the first span of that name in this run's tree
+    ({!Fsam_obs.Span.duration} over [root]) — e.g. ["phase.mhp"],
+    ["solve.plan"]; [0.] when the run never entered it. *)
 
 val run_nonsparse :
   ?config:config -> Prog.t -> Nonsparse.outcome * float
@@ -121,6 +114,5 @@ val pt_names : t -> Stmt.var -> string list
 val alias : t -> Stmt.var -> Stmt.var -> bool
 (** May the two pointers alias (flow-sensitive result)? *)
 
-val total_time : t -> float
 val memory_entries : t -> int
 val pp_summary : Format.formatter -> t -> unit

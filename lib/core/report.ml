@@ -27,7 +27,7 @@ type t = {
   r_deadlocks : int;
   r_instrumented : int;
   r_accesses : int;
-  r_times : Driver.phase_times;
+  r_run : Fsam_obs.Span.t;
 }
 
 let build (d : Driver.t) =
@@ -70,12 +70,26 @@ let build (d : Driver.t) =
     r_deadlocks = deadlocks;
     r_instrumented = instr.Instrument.instrumented;
     r_accesses = instr.Instrument.total_accesses;
-    r_times = d.Driver.times;
+    r_run = d.Driver.root;
   }
 
+module J = Fsam_obs.Json
+
+(* phase_seconds key -> span name *)
+let phase_spans =
+  [
+    ("pre", "phase.pre");
+    ("thread_model", "phase.threads");
+    ("interleaving", "phase.mhp");
+    ("lock", "phase.locks");
+    ("svfg", "phase.svfg");
+    ("solve", "phase.solve");
+  ]
+
+let phase_seconds root =
+  J.Obj (List.map (fun (k, name) -> (k, J.Float (Fsam_obs.Span.duration name root))) phase_spans)
+
 let to_json r =
-  let module J = Fsam_obs.Json in
-  let t = r.r_times in
   J.Obj
     [
       ( "program",
@@ -127,20 +141,11 @@ let to_json r =
             ("instrumented_accesses", J.Int r.r_instrumented);
             ("total_accesses", J.Int r.r_accesses);
           ] );
-      ( "phase_seconds",
-        J.Obj
-          [
-            ("pre", J.Float t.Driver.t_pre);
-            ("thread_model", J.Float t.Driver.t_thread_model);
-            ("interleaving", J.Float t.Driver.t_interleaving);
-            ("lock", J.Float t.Driver.t_lock);
-            ("svfg", J.Float t.Driver.t_svfg);
-            ("solve", J.Float t.Driver.t_solve);
-          ] );
+      ("phase_seconds", phase_seconds r.r_run);
     ]
 
 let pp ppf r =
-  let t = r.r_times in
+  let wall name = Fsam_obs.Span.duration name r.r_run in
   Format.fprintf ppf
     "@[<v>program:        %d statements, %d functions, %d variables, %d objects@,\
      pre-analysis:   %d iterations, %d facts, %d reachable functions (%.3fs)@,\
@@ -154,9 +159,9 @@ let pp ppf r =
      clients:        %d races, %d deadlocks, %d/%d accesses need race \
      instrumentation@]"
     r.r_stmts r.r_funcs r.r_vars r.r_objs r.r_andersen_iters r.r_andersen_facts
-    r.r_reachable_funcs t.Driver.t_pre r.r_threads r.r_multi_forked r.r_instances
-    r.r_handled_join_insts t.Driver.t_thread_model r.r_mhp_iters r.r_mhp_facts
-    t.Driver.t_interleaving r.r_lock_spans t.Driver.t_lock r.r_svfg_nodes r.r_svfg_edges
-    r.r_thread_aware_edges t.Driver.t_svfg r.r_solver_iters r.r_pts_facts
-    r.r_strong_updates r.r_weak_updates t.Driver.t_solve r.r_races r.r_deadlocks
+    r.r_reachable_funcs (wall "phase.pre") r.r_threads r.r_multi_forked r.r_instances
+    r.r_handled_join_insts (wall "phase.threads") r.r_mhp_iters r.r_mhp_facts
+    (wall "phase.mhp") r.r_lock_spans (wall "phase.locks") r.r_svfg_nodes r.r_svfg_edges
+    r.r_thread_aware_edges (wall "phase.svfg") r.r_solver_iters r.r_pts_facts
+    r.r_strong_updates r.r_weak_updates (wall "phase.solve") r.r_races r.r_deadlocks
     r.r_instrumented r.r_accesses

@@ -36,7 +36,7 @@ type t = {
   r_instrumented : int;
   r_accesses : int;
   (* timing *)
-  r_times : Driver.phase_times;
+  r_run : Fsam_obs.Span.t;  (** the run's [fsam.run] span: phase walls are read off it *)
 }
 
 val build : Driver.t -> t
@@ -45,3 +45,8 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> Fsam_obs.Json.t
 (** Machine-readable form of the report, grouped like [pp]; embedded in the
     [Telemetry] export. *)
+
+val phase_seconds : Fsam_obs.Span.t -> Fsam_obs.Json.t
+(** [to_json]'s [phase_seconds] object: the [phase.*] walls under a run's
+    root span, keyed [pre], [thread_model], [interleaving], [lock], [svfg],
+    [solve]. *)

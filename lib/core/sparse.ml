@@ -15,7 +15,6 @@ type t = {
   mutable weak_updates : int;
   mutable growth : int; (* add events that enlarged a set during the drain *)
   mutable pass : int list; (* pass-through store gids, ascending *)
-  mutable preload_s : float; (* wall seconds of the warm preload *)
 }
 
 let pt_top t v = t.ptv.(v)
@@ -40,7 +39,6 @@ let n_strong_updates t = t.strong_updates
 let n_weak_updates t = t.weak_updates
 let n_growth t = t.growth
 let passthrough t = t.pass
-let preload_s t = t.preload_s
 
 let pts_entries t =
   Array.fold_left (fun acc s -> acc + Iset.cardinal s) 0 t.ptv
@@ -203,7 +201,6 @@ let solve ?warm ?prov prog ast svfg ~singleton =
       weak_updates = 0;
       growth = 0;
       pass = [];
-      preload_s = 0.;
     }
   in
   (* stores that pass every incoming fact through and never kill (see the
@@ -216,8 +213,7 @@ let solve ?warm ?prov prog ast svfg ~singleton =
   (match warm with
   | None -> ()
   | Some w ->
-    let (), sp =
-      Obs.Span.with_timed ~name:"solve.preload" (fun () ->
+    Obs.Span.with_ ~name:"solve.preload" (fun () ->
           Array.blit w.w_ptv 0 t.ptv 0 (min (Array.length w.w_ptv) (Array.length t.ptv));
           List.iter
             (fun ((node, o), set) ->
@@ -227,9 +223,7 @@ let solve ?warm ?prov prog ast svfg ~singleton =
                 Hashtbl.replace t.obj_any o (Iset.union any set)
               end)
             w.w_pto;
-          List.iter (Bitvec.set pass) w.w_pass)
-    in
-    t.preload_s <- sp.Obs.Span.dur_s);
+          List.iter (Bitvec.set pass) w.w_pass));
   let unit_of_node n = unit_of_svfg_node prog svfg n in
   let n_units = unit_count prog svfg in
   let { d_users = var_users; _ } =

@@ -123,10 +123,6 @@ val passthrough : t -> int list
     program's first round, so the incremental planner re-runs those whose
     facts can reach the pointer of a store it re-runs. *)
 
-val preload_s : t -> float
-(** Wall seconds spent pre-loading the warm start (the [solve.preload]
-    span); [0.] for a cold solve. *)
-
 val n_strong_updates : t -> int
 (** Incoming-edge propagations suppressed by a strong update (cumulative
     over solver events). *)

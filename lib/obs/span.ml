@@ -133,6 +133,8 @@ let find name forest =
   in
   go forest
 
+let duration name root = match find name [ root ] with Some sp -> sp.dur_s | None -> 0.
+
 let rec to_json sp =
   Json.Obj
     [

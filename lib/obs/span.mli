@@ -53,4 +53,8 @@ val distinct_names : t list -> string list
 val find : string -> t list -> t option
 (** First span with the given name, depth-first over a forest. *)
 
+val duration : string -> t -> float
+(** [dur_s] of the first span named [name] in [root]'s tree (depth-first,
+    [root] included); [0.] when the tree has none. *)
+
 val to_json : t -> Json.t

@@ -90,8 +90,8 @@ and work = {
   wk_sparse_props : int;  (** sparse solver propagations *)
 }
 
-(* Which pre-phases of a warm edit reused the previous generation, what
-   each phase cost, and why any phase fell back. *)
+(* Which pre-phases of a warm edit reused the previous generation and what
+   each phase cost. *)
 and phase_summary = {
   ph_andersen_warm : bool;
   ph_tm_reused : bool;
@@ -99,14 +99,7 @@ and phase_summary = {
   ph_locks_reused : bool;
   ph_svfg_patched : bool;
   ph_svfg_stats : Svfg.patch_stats option;
-  ph_pre_s : float;
-  ph_threads_s : float;
-  ph_mhp_s : float;
-  ph_locks_s : float;
-  ph_svfg_s : float;
-  ph_solve_s : float;
-  ph_solve_plan_s : float;  (** [solve.plan]: the incremental planner *)
-  ph_solve_preload_s : float;  (** [solve.preload]: loading the clean slice *)
+  ph_run : Obs.Span.t;  (** the warm run's root span: the phase walls *)
 }
 
 and edit_info = {
@@ -439,22 +432,17 @@ let compute_edit t ~old new_ast =
         let old_d = old.g_d in
         let old_prog = old_d.D.prog and old_and = old_d.D.ast in
         let shape = edit_shape ~diff ~old_prog ~new_prog in
-        let f_and = ref false
-        and f_tm = ref false
-        and f_mhp = ref false
-        and f_locks = ref false
-        and f_svfg = ref false in
+        (* a warm Andersen returns a fresh solver, so only its hook can
+           tell; every other reuse shows as the old value in the result *)
+        let f_and = ref false in
         let svfg_stats = ref None in
-        let plan_s = ref 0. in
         let plan_solve prog new_and svfg ~singleton =
-          let plan, sp =
-            Obs.Span.with_timed ~name:"solve.plan" (fun () ->
+          match
+            Obs.Span.with_ ~name:"solve.plan" (fun () ->
                 Incremental.plan ~diff ~old_prog ~old_and ~old_svfg:old_d.D.svfg
                   ~old_sparse:old_d.D.sparse ~old_singleton:old_d.D.singleton ~new_prog:prog
                   ~new_and ~new_svfg:svfg ~new_singleton:singleton)
-          in
-          plan_s := sp.Obs.Span.dur_s;
-          match plan with
+          with
           | Error msg ->
             reason := Some msg;
             note "sparse_plan";
@@ -490,9 +478,7 @@ let compute_edit t ~old new_ast =
             D.wh_thread_model =
               (fun _prog new_and ->
                 match tm_guard ~shape ~old_prog ~old_and ~new_prog ~new_and with
-                | Ok () ->
-                  f_tm := true;
-                  Some (old_d.D.icfg, old_d.D.tm)
+                | Ok () -> Some (old_d.D.icfg, old_d.D.tm)
                 | Error r ->
                   note r;
                   None);
@@ -500,10 +486,7 @@ let compute_edit t ~old new_ast =
               (fun tm ->
                 (* MHP is a pure function of the thread model: reused iff
                    the thread model itself was *)
-                if tm == old_d.D.tm then begin
-                  f_mhp := true;
-                  Some old_d.D.mhp
-                end
+                if tm == old_d.D.tm then Some old_d.D.mhp
                 else begin
                   note "mhp_tm_rebuilt";
                   None
@@ -516,9 +499,7 @@ let compute_edit t ~old new_ast =
                 end
                 else
                   match locks_guard ~shape ~old_prog ~old_and ~new_prog ~new_and with
-                  | Ok () ->
-                    f_locks := true;
-                    Some old_d.D.locks
+                  | Ok () -> Some old_d.D.locks
                   | Error r ->
                     note r;
                     None);
@@ -540,7 +521,6 @@ let compute_edit t ~old new_ast =
                       ~edited_fids:shape.sh_dirty_fids ()
                   with
                   | Ok (s, ps) ->
-                    f_svfg := true;
                     svfg_stats := Some ps;
                     Some s
                   | Error r ->
@@ -568,19 +548,12 @@ let compute_edit t ~old new_ast =
             Some
               {
                 ph_andersen_warm = !f_and;
-                ph_tm_reused = !f_tm;
-                ph_mhp_reused = !f_mhp;
-                ph_locks_reused = !f_locks;
-                ph_svfg_patched = !f_svfg;
+                ph_tm_reused = d.D.tm == old_d.D.tm;
+                ph_mhp_reused = d.D.mhp == old_d.D.mhp;
+                ph_locks_reused = d.D.locks == old_d.D.locks;
+                ph_svfg_patched = Option.is_some !svfg_stats;
                 ph_svfg_stats = !svfg_stats;
-                ph_pre_s = d.D.times.D.t_pre;
-                ph_threads_s = d.D.times.D.t_thread_model;
-                ph_mhp_s = d.D.times.D.t_interleaving;
-                ph_locks_s = d.D.times.D.t_lock;
-                ph_svfg_s = d.D.times.D.t_svfg;
-                ph_solve_s = d.D.times.D.t_solve;
-                ph_solve_plan_s = !plan_s;
-                ph_solve_preload_s = Sparse.preload_s d.D.sparse;
+                ph_run = d.D.root;
               };
           Ok (mk_gen ~source:new_source ~ast:new_ast ~d)))
   in

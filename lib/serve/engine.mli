@@ -35,17 +35,14 @@ type phase_summary = {
   ph_locks_reused : bool;
   ph_svfg_patched : bool;  (** SVFG patched in place of a cold rebuild *)
   ph_svfg_stats : Fsam_memssa.Svfg.patch_stats option;
-  ph_pre_s : float;
-  ph_threads_s : float;
-  ph_mhp_s : float;
-  ph_locks_s : float;
-  ph_svfg_s : float;
-  ph_solve_s : float;
-  ph_solve_plan_s : float;  (** the [solve.plan] span: the incremental planner *)
-  ph_solve_preload_s : float;  (** the [solve.preload] span: loading the clean slice *)
+  ph_run : Fsam_obs.Span.t;
+      (** the warm run's [fsam.run] span ({!Fsam_core.Driver.root}): each
+          phase's wall (whatever path it took) is read off it, with the
+          solve's [solve.plan] (the incremental planner) and [solve.preload]
+          (loading the clean slice) under [phase.solve] *)
 }
-(** Which pre-phases of a warm edit reused the previous generation, and the
-    wall clock of each phase (whatever path it took). *)
+(** Which pre-phases of a warm edit reused the previous generation, and
+    the span tree of the run that did the edit. *)
 
 type edit_info = {
   e_mode : [ `Incremental | `Cold ];

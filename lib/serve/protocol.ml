@@ -122,6 +122,20 @@ let work_json (w : Engine.work) =
       ("sparse_propagations", J.Int w.Engine.wk_sparse_props);
     ]
 
+(* reply key -> span name of the warm run; plan and preload are parts of
+   the solve *)
+let phase_walls =
+  [
+    ("andersen_s", "phase.pre");
+    ("threads_s", "phase.threads");
+    ("mhp_s", "phase.mhp");
+    ("locks_s", "phase.locks");
+    ("svfg_s", "phase.svfg");
+    ("sparse_s", "phase.solve");
+    ("solve_plan_s", "solve.plan");
+    ("solve_preload_s", "solve.preload");
+  ]
+
 let phases_json (p : Engine.phase_summary) =
   J.Obj
     ([
@@ -144,16 +158,9 @@ let phases_json (p : Engine.phase_summary) =
               ] );
         ]
       | None -> [])
-    @ [
-        ("andersen_s", J.Float p.Engine.ph_pre_s);
-        ("threads_s", J.Float p.Engine.ph_threads_s);
-        ("mhp_s", J.Float p.Engine.ph_mhp_s);
-        ("locks_s", J.Float p.Engine.ph_locks_s);
-        ("svfg_s", J.Float p.Engine.ph_svfg_s);
-        ("sparse_s", J.Float p.Engine.ph_solve_s);
-        ("solve_plan_s", J.Float p.Engine.ph_solve_plan_s);
-        ("solve_preload_s", J.Float p.Engine.ph_solve_preload_s);
-      ])
+    @ List.map
+        (fun (k, name) -> (k, J.Float (Fsam_obs.Span.duration name p.Engine.ph_run)))
+        phase_walls)
 
 let load_info_json (i : Engine.load_info) =
   [

@@ -318,7 +318,7 @@ let test_analyze_telemetry_golden () =
       | _ -> Alcotest.fail "counters missing")
     | None -> Alcotest.fail "metrics missing");
     (* the span tree covers all six pipeline phases with >= 10 distinct names *)
-    (match J.member "spans" parsed with
+    match J.member "spans" parsed with
     | Some (J.List spans) ->
       let names = List.sort_uniq compare (List.fold_left json_span_names [] spans) in
       Alcotest.(check bool)
@@ -328,15 +328,36 @@ let test_analyze_telemetry_golden () =
       List.iter
         (fun p -> Alcotest.(check bool) ("span " ^ p) true (List.mem p names))
         pipeline_phases
-    | _ -> Alcotest.fail "spans missing");
-    (* phase_times and the span tree agree *)
-    let roots = Obs.Span.roots () in
-    (match Obs.Span.find "phase.mhp" roots with
-    | Some sp ->
-      Alcotest.(check bool) "phase_times match spans" true
-        (abs_float (sp.Obs.Span.dur_s -. d.Fsam_core.Driver.times.Fsam_core.Driver.t_interleaving)
-        < 1e-9)
-    | None -> Alcotest.fail "phase.mhp span not recorded")
+    | _ -> Alcotest.fail "spans missing"
+
+(* A report's phase walls are the phase.* spans under its own run's root,
+   whatever ran after it: the global span buffer then holds the later run. *)
+let test_phase_walls_own_root () =
+  let run name =
+    let spec = Option.get (Fsam_workloads.Suite.find name) in
+    Fsam_core.Driver.run (spec.Fsam_workloads.Suite.build 10)
+  in
+  let d1 = run "word_count" in
+  let d2 = run "kmeans" in
+  (match Obs.Span.roots () with
+  | [ last ] ->
+    Alcotest.(check bool) "the global buffer holds d2" true (last == d2.Fsam_core.Driver.root)
+  | _ -> Alcotest.fail "expected one root span after d2");
+  let phase_spans (d : Fsam_core.Driver.t) =
+    List.filter_map
+      (fun (c : Obs.Span.t) ->
+        if List.mem c.Obs.Span.name pipeline_phases then Some c.Obs.Span.dur_s else None)
+      d.Fsam_core.Driver.root.Obs.Span.children
+  in
+  let reported d =
+    match J.member "phase_seconds" (Fsam_core.Report.to_json (Fsam_core.Report.build d)) with
+    | Some (J.Obj kv) ->
+      List.map (function _, J.Float f -> f | k, _ -> Alcotest.failf "%s not a float" k) kv
+    | _ -> Alcotest.fail "phase_seconds missing"
+  in
+  Alcotest.(check int) "six phase spans under d1's root" 6 (List.length (phase_spans d1));
+  Alcotest.(check (list (float 0.))) "d1's report reads d1's spans" (phase_spans d1) (reported d1);
+  Alcotest.(check bool) "d1's walls are not d2's" true (reported d1 <> phase_spans d2)
 
 let test_trace_file () =
   let spec = Option.get (Fsam_workloads.Suite.find "word_count") in
@@ -389,6 +410,7 @@ let suite =
     Alcotest.test_case "telemetry crash flush" `Quick test_telemetry_crash_flush;
     Alcotest.test_case "chrome trace format" `Quick test_trace_format;
     Alcotest.test_case "analyze --json telemetry (golden)" `Quick test_analyze_telemetry_golden;
+    Alcotest.test_case "phase walls survive later runs" `Quick test_phase_walls_own_root;
     Alcotest.test_case "trace file round-trip" `Quick test_trace_file;
     Alcotest.test_case "instrument sets memoized" `Quick test_instrument_memoized;
   ]

@@ -412,6 +412,71 @@ let test_protocol_edit_and_ids () =
   in
   Alcotest.(check (option string)) "edit unknown fn" (Some "parse_error") (err_code r)
 
+(* An edit reply's phase walls are the spans of the installed generation's
+   own run, the warm one: differential mode then runs a cold reference,
+   whose tree is what the global span buffer holds afterwards. *)
+let test_reply_walls_are_run_spans () =
+  let eng = Engine.create ~differential:true () in
+  let srv = Protocol.create eng in
+  let load = mt_source ~target:"worker_a" ~lock_var:"m1" ~global:"g1" in
+  Alcotest.(check bool) "load ok" true
+    (is_ok (req srv [ ("op", J.String "load"); ("source", J.String load) ]));
+  let walls =
+    [
+      ("andersen_s", "phase.pre");
+      ("threads_s", "phase.threads");
+      ("mhp_s", "phase.mhp");
+      ("locks_s", "phase.locks");
+      ("svfg_s", "phase.svfg");
+      ("sparse_s", "phase.solve");
+      ("solve_plan_s", "solve.plan");
+      ("solve_preload_s", "solve.preload");
+    ]
+  in
+  (* the edit-sequence-phases expectations, per stage *)
+  let flags = [ "andersen_warm"; "tm_reused"; "mhp_reused"; "locks_reused"; "svfg_patched" ] in
+  let expected =
+    [
+      [ true; true; true; true; true ];
+      [ true; false; false; false; false ];
+      [ true; true; true; false; false ];
+    ]
+  in
+  List.iter2
+    (fun (stage, src) want ->
+      let r = req srv [ ("op", J.String "edit"); ("source", J.String src) ] in
+      if not (is_ok r) then Alcotest.failf "%s: edit failed" stage;
+      let ph =
+        match J.member "phases" r with
+        | Some ph -> ph
+        | None -> Alcotest.failf "%s: no phases in the reply" stage
+      in
+      let wall k =
+        match J.member k ph with
+        | Some (J.Float f) -> f
+        | _ -> Alcotest.failf "%s: %s missing" stage k
+      in
+      let d = Engine.driver eng in
+      List.iter
+        (fun (k, name) ->
+          Alcotest.(check (float 0.)) (stage ^ ": " ^ k) (D.phase_s d name) (wall k))
+        walls;
+      Alcotest.(check bool) (stage ^ ": planner ran") true (wall "solve_plan_s" > 0.);
+      Alcotest.(check bool)
+        (stage ^ ": plan and preload within the solve")
+        true
+        (wall "solve_plan_s" <= wall "sparse_s" && wall "solve_preload_s" <= wall "sparse_s");
+      (match Fsam_obs.Span.roots () with
+      | [ cold ] ->
+        Alcotest.(check bool) (stage ^ ": global tree is the cold rerun") true
+          (cold != d.D.root && Fsam_obs.Span.find "solve.plan" [ cold ] = None)
+      | _ -> Alcotest.failf "%s: expected one root span" stage);
+      List.iter2
+        (fun k b ->
+          Alcotest.(check bool) (stage ^ ": " ^ k) true (J.member k ph = Some (J.Bool b)))
+        flags want)
+    mt_stages expected
+
 (* The crash-flush must be armed during a request, idempotently re-armable,
    and observably disarmed between requests. *)
 let test_telemetry_arming () =
@@ -529,6 +594,7 @@ let suite =
     Alcotest.test_case "snapshot-rejects-garbage" `Quick test_snapshot_rejects_garbage;
     Alcotest.test_case "protocol-basics" `Quick test_protocol_basics;
     Alcotest.test_case "protocol-edit" `Quick test_protocol_edit_and_ids;
+    Alcotest.test_case "reply-walls-are-run-spans" `Quick test_reply_walls_are_run_spans;
     Alcotest.test_case "telemetry-arming" `Quick test_telemetry_arming;
     Alcotest.test_case "run-determinism" `Quick test_run_determinism;
     Alcotest.test_case "fields-of-sorted" `Quick test_fields_of_sorted;
