@@ -47,7 +47,6 @@ type warm_hooks = {
     Prog.t ->
     A.t ->
     Modref.t ->
-    Mta.Icfg.t ->
     Mta.Threads.t ->
     Mta.Mhp.t ->
     Mta.Locks.t ->
@@ -62,7 +61,7 @@ let cold_hooks =
     wh_thread_model = (fun _ _ -> None);
     wh_mhp = (fun _ -> None);
     wh_locks = (fun _ _ _ -> None);
-    wh_svfg = (fun _ _ _ _ _ _ _ _ -> None);
+    wh_svfg = (fun _ _ _ _ _ _ _ -> None);
     wh_solve = (fun _ _ _ ~singleton:_ -> None);
   }
 
@@ -136,9 +135,8 @@ let run ?(config = default_config) ?warm prog =
         let svfg =
           Obs.Span.with_ ~name:"phase.svfg" (fun () ->
               try_warm
-                (fun h -> h.wh_svfg prog ast modref icfg tm mhp locks pcg)
-                (fun () ->
-                  Svfg.build ~config:config.svfg ?prov prog ast modref icfg tm mhp locks pcg))
+                (fun h -> h.wh_svfg prog ast modref tm mhp locks pcg)
+                (fun () -> Svfg.build ~config:config.svfg ?prov prog ast modref tm mhp locks pcg))
         in
         let singleton, sparse =
           Obs.Span.with_ ~name:"phase.solve" (fun () ->

@@ -68,7 +68,6 @@ type warm_hooks = {
     Prog.t ->
     Fsam_andersen.Solver.t ->
     Fsam_andersen.Modref.t ->
-    Fsam_mta.Icfg.t ->
     Fsam_mta.Threads.t ->
     Fsam_mta.Mhp.t ->
     Fsam_mta.Locks.t ->

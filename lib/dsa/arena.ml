@@ -108,91 +108,6 @@ module Intmap = struct
   let copy m = { keys = Array.copy m.keys; vals = Array.copy m.vals; n = m.n }
 end
 
-module Dyn = struct
-  (* Keyed rows over two parallel bufs: [cells] holds values (>= 0, with -1
-     marking a tombstone), [next] links cells of one row in insertion order.
-     Rows grow by appending at the tail and shrink by tombstoning in place,
-     so live cells never move — exactly what in-place graph patching needs. *)
-  type t = {
-    head : Intmap.t; (* key -> first cell, absent = empty row *)
-    tail : Intmap.t; (* key -> last cell, for O(1) ordered append *)
-    cells : Buf.t;
-    next : Buf.t;
-    mutable live : int;
-    mutable dead : int;
-  }
-
-  let create ?(capacity = 16) () =
-    {
-      head = Intmap.create ~capacity ();
-      tail = Intmap.create ~capacity ();
-      cells = Buf.create ~capacity ();
-      next = Buf.create ~capacity ();
-      live = 0;
-      dead = 0;
-    }
-
-  let live t = t.live
-  let tombstones t = t.dead
-
-  let add t ~key v =
-    if v < 0 then invalid_arg "Arena.Dyn.add: negative value";
-    let cell = Buf.push t.cells v in
-    ignore (Buf.push t.next (-1));
-    (match Intmap.find t.tail ~key ~default:(-1) with
-    | -1 -> Intmap.set t.head ~key cell
-    | last -> Buf.set t.next last cell);
-    Intmap.set t.tail ~key cell;
-    t.live <- t.live + 1
-
-  let remove t ~key v =
-    let rec go cell =
-      if cell = -1 then false
-      else if Buf.get t.cells cell = v then begin
-        Buf.set t.cells cell (-1);
-        t.live <- t.live - 1;
-        t.dead <- t.dead + 1;
-        true
-      end
-      else go (Buf.get t.next cell)
-    in
-    go (Intmap.find t.head ~key ~default:(-1))
-
-  let iter_row t key f =
-    let rec go cell =
-      if cell >= 0 then begin
-        let v = Buf.get t.cells cell in
-        if v >= 0 then f v;
-        go (Buf.get t.next cell)
-      end
-    in
-    go (Intmap.find t.head ~key ~default:(-1))
-
-  let exists_row t key p =
-    let rec go cell =
-      if cell = -1 then false
-      else
-        let v = Buf.get t.cells cell in
-        (v >= 0 && p v) || go (Buf.get t.next cell)
-    in
-    go (Intmap.find t.head ~key ~default:(-1))
-
-  let row_list t key =
-    let acc = ref [] in
-    iter_row t key (fun v -> acc := v :: !acc);
-    List.rev !acc
-
-  let copy t =
-    {
-      head = Intmap.copy t.head;
-      tail = Intmap.copy t.tail;
-      cells = Buf.copy t.cells;
-      next = Buf.copy t.next;
-      live = t.live;
-      dead = t.dead;
-    }
-end
-
 module Csr = struct
   type t = { offsets : int array; (* n_rows + 1 *) data : int array }
 

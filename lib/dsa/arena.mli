@@ -5,7 +5,9 @@
     Every field is a flat [int array], so a probe does no pointer-chasing
     and the GC scans no boxed keys. The intended discipline (after the
     arena/flat-array engines this borrows from) is build-once / read-many:
-    populate, then only query.
+    populate, then only query. No store here supports deletion; a
+    structure that is spliced in place (the SVFG across warm edits) keeps
+    its rows in ordinary lists and tables instead.
 
     All keys and values are non-negative ints; composite keys are packed by
     the caller ([key = row * stride + col] — 63-bit ints leave plenty of
@@ -46,38 +48,6 @@ module Intmap : sig
   val iter : t -> (key:int -> int -> unit) -> unit
   (** Iteration order is unspecified (it follows the probe layout); use only
       for order-insensitive folds. *)
-
-  val copy : t -> t
-end
-
-(** Dynamic keyed rows: like {!Csr} but mutable after construction — rows
-    grow by appended insertion and shrink by tombstoned deletion, with live
-    cells never moving. This is the store the incremental SVFG patcher
-    splices: deletions leave a [-1] tombstone that every reader skips, and
-    insertions append at the row tail so surviving iteration order stays the
-    original insertion order. Values must be [>= 0]. *)
-module Dyn : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-
-  val live : t -> int
-  (** Number of live (non-tombstoned) cells across all rows. *)
-
-  val tombstones : t -> int
-
-  val add : t -> key:int -> int -> unit
-  (** Append a value at the tail of [key]'s row. *)
-
-  val remove : t -> key:int -> int -> bool
-  (** Tombstone the first live cell of [key]'s row equal to the value;
-      returns whether one was found. *)
-
-  val iter_row : t -> int -> (int -> unit) -> unit
-  val exists_row : t -> int -> (int -> bool) -> bool
-
-  val row_list : t -> int -> int list
-  (** Live values of one row in insertion order. *)
 
   val copy : t -> t
 end

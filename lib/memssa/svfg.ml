@@ -27,37 +27,39 @@ type t = {
   index : (node, int) Hashtbl.t;
   preds : (int * int) list Vec.t;
   succs : (int * int) list Vec.t;
-  edge_set : (int * int * int, unit) Hashtbl.t; (* (src, obj, dst) *)
+  edges : (int * int * int, int) Hashtbl.t;
+      (* (src, obj, dst) -> its tag (see [tag]); the same edges as the
+         adjacency lists, kept as a table because [add_edge] deduplicates
+         every derived def on every dataflow revisit *)
   mutable thread_edges : int;
   racy : (int, Iset.t) Hashtbl.t; (* store gid -> objects with interfering MHP pairs *)
   pairs : (int, int array) Hashtbl.t;
       (* object -> its unprotected kept [THREAD-VF] pairs, each packed
          [store * n_stmts + access]; rows are replaced, never mutated *)
-  ekind : (int * int * int, int) Hashtbl.t; (* non-oblivious kinds, prov only *)
   mutable record_prov : Fsam_prov.t option;
   (* -- incremental-patch bookkeeping (see [patch]) -- *)
-  owners : (int * int * int, int) Hashtbl.t;
-      (* oblivious edge -> the function whose per-fn dataflow first derived
-         it; only [Formal_out -> Formal_in] triples can have further adders
-         (handled by the patcher's dirty closure) *)
-  tvf : (int * int * int, unit) Hashtbl.t; (* edges added by [THREAD-VF] discovery *)
   mutable cur_owner : int; (* function being rebuilt by [build_oblivious], or -1 *)
   mutable log_adds : bool; (* patch mode: log every new edge *)
   mutable add_log : (int * int * int) list;
-  (* persistent per-(object, gid) index of the thread-oblivious stmt-to-stmt
-     def-use snapshot, in tombstoned arena rows so the patcher can splice it
-     in place. pred rows are keyed (o, head gid) holding tail gids; succ
-     rows keyed (o, tail gid) holding head gids. *)
-  obl_pred : Arena.Dyn.t;
-  obl_succ : Arena.Dyn.t;
 }
+
+(* An edge's tag packs [owner lsl 2 lor kind]. The owner of an oblivious
+   edge is the function whose per-fn dataflow first derived it (only
+   [Formal_out -> Formal_in] triples can have further adders, handled by
+   the patcher's dirty closure); a [THREAD-VF] edge has kind [k_thread_vf]
+   and no owner. The other non-oblivious kinds are derived only under a
+   recorder. *)
+let tag ~owner kind = (owner lsl 2) lor kind
+let tag_kind tg = tg land 3
+let tag_owner tg = tg asr 2
+let is_thread_vf tg = tag_kind tg = k_thread_vf
 
 let n_nodes t = Vec.length t.nodes
 let node t i = Vec.get t.nodes i
 let node_id t n = Hashtbl.find_opt t.index n
 let o_preds t i = Vec.get t.preds i
 let o_succs t i = Vec.get t.succs i
-let n_edges t = Hashtbl.length t.edge_set
+let n_edges t = Hashtbl.length t.edges
 let n_thread_aware_edges t = t.thread_edges
 let prog t = t.prog
 let iter_nodes t f = Vec.iteri (fun i n -> f i n) t.nodes
@@ -72,37 +74,32 @@ let intern t n =
     Hashtbl.replace t.index n i;
     i
 
-let add_edge ?(kind = 0) t src obj dst =
+let add_edge ?(kind = k_oblivious) t src obj dst =
   let key = (src, obj, dst) in
-  if not (Hashtbl.mem t.edge_set key) then begin
-    Hashtbl.replace t.edge_set key ();
-    (match t.record_prov with
-    | Some _ -> if kind <> k_oblivious then Hashtbl.replace t.ekind key kind
-    | None -> ());
-    if t.cur_owner >= 0 then Hashtbl.replace t.owners key t.cur_owner;
-    if kind = k_thread_vf then Hashtbl.replace t.tvf key ();
+  match Hashtbl.find t.edges key with
+  | exception Not_found ->
+    Hashtbl.replace t.edges key (tag ~owner:t.cur_owner kind);
     if t.log_adds then t.add_log <- key :: t.add_log;
     Vec.set t.preds dst ((obj, src) :: Vec.get t.preds dst);
     Vec.set t.succs src ((obj, dst) :: Vec.get t.succs src)
-  end
-  else if t.log_adds && t.cur_owner >= 0 && Hashtbl.mem t.tvf key then begin
-    (* promotion: a patched per-fn dataflow re-derives an edge that the old
-       generation carried only as a [THREAD-VF] edge. A cold build would
-       have added it in the oblivious stage, so reclassify it — it gains an
-       owner, leaves the thread-vf registry, and counts as an oblivious
-       addition (the add log feeds the spliced def-use index and the
-       dirty-object computation). *)
-    Hashtbl.remove t.tvf key;
-    Hashtbl.remove t.ekind key;
-    t.thread_edges <- t.thread_edges - 1;
-    Hashtbl.replace t.owners key t.cur_owner;
-    t.add_log <- key :: t.add_log
-  end
+  | tg ->
+    if t.log_adds && t.cur_owner >= 0 && is_thread_vf tg then begin
+      (* promotion: a patched per-fn dataflow re-derives an edge that the
+         old generation carried only as a [THREAD-VF] edge. A cold build
+         would have added it in the oblivious stage, so reclassify it — it
+         gains an owner and counts as an oblivious addition (the add log
+         feeds the dirty-object computation). *)
+      Hashtbl.replace t.edges key (tag ~owner:t.cur_owner k_oblivious);
+      t.thread_edges <- t.thread_edges - 1;
+      t.add_log <- key :: t.add_log
+    end
 
-let has_edge t src obj dst = Hashtbl.mem t.edge_set (src, obj, dst)
+let has_edge t src obj dst = Hashtbl.mem t.edges (src, obj, dst)
 
 let edge_kind t ~src ~obj ~dst =
-  Option.value ~default:k_oblivious (Hashtbl.find_opt t.ekind (src, obj, dst))
+  match (t.record_prov, Hashtbl.find_opt t.edges (src, obj, dst)) with
+  | Some _, Some tg -> tag_kind tg
+  | _ -> k_oblivious
 
 (* ------------------------------------------------------------------------ *)
 (* Thread-oblivious construction: per-(function, object) sparse
@@ -148,9 +145,8 @@ let join_info_tbl tm mr =
    the join edge s4 ↪ s3 of Figure 6 {e and} the strong-update-through-join
    precision of Figure 1(c), while defs between fork and join still flow
    past the join (s2 ↪ s3). *)
-let build_oblivious ?only t ast mr icfg join_info =
+let build_oblivious ?only t ast mr join_info =
   let prog = t.prog in
-  ignore icfg;
   let record = t.record_prov <> None in
   (* formal-out nodes injected by a handled join: edges sourced from them
      carry the "join" kind in provenance mode *)
@@ -328,34 +324,12 @@ let build_oblivious ?only t ast mr icfg join_info =
 (* ------------------------------------------------------------------------ *)
 
 (* Span heads and tails (Definitions 4 and 5), per (span, object), against
-   the thread-oblivious def-use edges built above. *)
+   the thread-oblivious def-use edges built above. Definitions 4/5 refer to
+   the def-use chains available when the lock analysis runs, so the tests
+   skip every [THREAD-VF] edge: the snapshot is the statement-to-statement
+   edges with an owner. A [THREAD-VF] edge gains an owner only through a
+   patch promotion, which a cold build would have derived as oblivious. *)
 type span_info = { hd : (int, unit) Hashtbl.t; tl : (int, unit) Hashtbl.t }
-
-(* Gid-level per-object index of the thread-oblivious def-use snapshot.
-   Definitions 4/5 refer to the def-use chains available when the lock
-   analysis runs — edges added by [THREAD-VF] itself must not influence the
-   heads/tails — so the index is taken before any thread-aware edge lands;
-   the head/tail tests then walk short adjacency lists instead of probing
-   the whole edge set per candidate.
-
-   The index lives in tombstoned arena rows ({!Arena.Dyn}) keyed
-   [(o * n_stmts) + gid] and persists on [t]: the incremental patcher
-   splices it in place (tombstoned deletion of retracted edges, appended
-   insertion of re-derived ones) so a patched generation probes exactly the
-   snapshot a cold rebuild would. Row membership, never order, is queried.
-   pred rows are keyed by the edge head (o, use gid) holding def gids; succ
-   rows by the def (o, def gid) holding use gids. *)
-let build_obl_index t =
-  let stride = Prog.n_stmts t.prog in
-  let gid_of i = match Vec.get t.nodes i with Stmt_node g -> g | _ -> -1 in
-  Hashtbl.iter
-    (fun (src, o, dst) () ->
-      let gs = gid_of src and gd = gid_of dst in
-      if gs >= 0 && gd >= 0 then begin
-        Arena.Dyn.add t.obl_pred ~key:((o * stride) + gd) gs;
-        Arena.Dyn.add t.obl_succ ~key:((o * stride) + gs) gd
-      end)
-    t.edge_set
 
 (* [THREAD-VF] pair discovery and application, restricted to the objects
    accepted by [obj_filter] — the full sorted store-object list on a cold
@@ -392,8 +366,7 @@ let discover_objects t config ast tm mhp lk pcg ~obj_filter =
           pts
       | _ -> ());
   let pts_at gid = Option.value ~default:Iset.empty (Hashtbl.find_opt pts_of_gid gid) in
-  (* the persistent snapshot index (see [build_obl_index]) *)
-  let obl_stride = Prog.n_stmts prog in
+  let stride = Prog.n_stmts prog in
   let objs =
     Array.of_list
       (List.sort compare
@@ -412,7 +385,7 @@ let discover_objects t config ast tm mhp lk pcg ~obj_filter =
     end;
     if unprotected then begin
       Hashtbl.replace rows o
-        (((s * obl_stride) + s') :: Option.value ~default:[] (Hashtbl.find_opt rows o));
+        (((s * stride) + s') :: Option.value ~default:[] (Hashtbl.find_opt rows o));
       let mark g =
         Hashtbl.replace t.racy g
           (Iset.add o (Option.value ~default:Iset.empty (Hashtbl.find_opt t.racy g)))
@@ -466,19 +439,31 @@ let discover_objects t config ast tm mhp lk pcg ~obj_filter =
           bump acc_cnt g;
           if is_store then bump st_cnt g)
         accs;
-      let blocked dyn cnt g =
-        Arena.Dyn.exists_row dyn
-          ((o * obl_stride) + g)
-          (fun g' ->
-            match Hashtbl.find_opt cnt g' with
-            | None -> false
-            | Some c -> g' <> g || c >= 2)
+      (* some oblivious def-use neighbour on [o] of [g]'s node, on the
+         [pred] or succ side, is counted in [cnt] *)
+      let blocked ~pred cnt g =
+        match Hashtbl.find_opt t.index (Stmt_node g) with
+        | None -> false
+        | Some n ->
+          List.exists
+            (fun (o', m) ->
+              o' = o
+              &&
+              match Vec.get t.nodes m with
+              | Stmt_node g' -> (
+                match Hashtbl.find_opt cnt g' with
+                | Some c when g' <> g || c >= 2 ->
+                  let edge = if pred then (m, o, n) else (n, o, m) in
+                  not (is_thread_vf (Hashtbl.find t.edges edge))
+                | _ -> false)
+              | _ -> false)
+            (Vec.get (if pred then t.preds else t.succs) n)
       in
       let hd = Hashtbl.create 8 and tl = Hashtbl.create 8 in
       List.iter
         (fun (iid, g, is_store, _) ->
-          if not (blocked t.obl_pred acc_cnt g) then Hashtbl.replace hd iid ();
-          if is_store && not (blocked t.obl_succ st_cnt g) then Hashtbl.replace tl iid ())
+          if not (blocked ~pred:true acc_cnt g) then Hashtbl.replace hd iid ();
+          if is_store && not (blocked ~pred:false st_cnt g) then Hashtbl.replace tl iid ())
         accs;
       let si = { hd; tl } in
       Hashtbl.replace span_cache (sid, o) si;
@@ -490,7 +475,7 @@ let discover_objects t config ast tm mhp lk pcg ~obj_filter =
      No-Value-Flow ablation it holds a verdict for most store/access pairs
      of the program. *)
   let stmt_mhp s s' =
-    let key = if s <= s' then (s * obl_stride) + s' else (s' * obl_stride) + s in
+    let key = if s <= s' then (s * stride) + s' else (s' * stride) + s in
     Arena.Intmap.find_or_add mhp_cache ~key (fun () ->
         let b =
           if config.use_interleaving then Mta.Mhp.mhp_stmt ~stats:mhp_stats mhp s s'
@@ -640,11 +625,7 @@ let discover_objects t config ast tm mhp lk pcg ~obj_filter =
   Obs.Metrics.(add (counter "locks.pair_memo_hits") (Mta.Locks.cache_memo_hits lk_cache));
   Obs.Metrics.(add (counter "locks.span_pair_checks") (Mta.Locks.cache_span_checks lk_cache))
 
-let build_thread_aware t config ast tm mhp lk pcg =
-  build_obl_index t;
-  discover_objects t config ast tm mhp lk pcg ~obj_filter:(fun _ -> true)
-
-let build ?(config = default_config) ?prov prog ast mr icfg tm mhp lk pcg =
+let build ?(config = default_config) ?prov prog ast mr tm mhp lk pcg =
   let t =
     {
       prog;
@@ -652,28 +633,23 @@ let build ?(config = default_config) ?prov prog ast mr icfg tm mhp lk pcg =
       index = Hashtbl.create 1024;
       preds = Vec.create ();
       succs = Vec.create ();
-      edge_set = Hashtbl.create 4096;
+      edges = Hashtbl.create 4096;
       thread_edges = 0;
       racy = Hashtbl.create 64;
       pairs = Hashtbl.create 64;
-      ekind = Hashtbl.create 64;
       record_prov = prov;
-      owners = Hashtbl.create 1024;
-      tvf = Hashtbl.create 256;
       cur_owner = -1;
       log_adds = false;
       add_log = [];
-      obl_pred = Arena.Dyn.create ~capacity:4096 ();
-      obl_succ = Arena.Dyn.create ~capacity:4096 ();
     }
   in
   (* mu/chi annotation material (what each join makes visible) *)
   let join_info = Obs.Span.with_ ~name:"svfg.join_info" (fun () -> join_info_tbl tm mr) in
   (* thread-oblivious def-use edge derivation (memory-SSA reaching defs) *)
-  Obs.Span.with_ ~name:"svfg.oblivious" (fun () -> build_oblivious t ast mr icfg join_info);
+  Obs.Span.with_ ~name:"svfg.oblivious" (fun () -> build_oblivious t ast mr join_info);
   (* [THREAD-VF] edges, filtered by the lock analysis *)
   Obs.Span.with_ ~name:"svfg.thread_aware" (fun () ->
-      build_thread_aware t config ast tm mhp lk pcg);
+      discover_objects t config ast tm mhp lk pcg ~obj_filter:(fun _ -> true));
   Obs.Metrics.(set (gauge "svfg.nodes") (n_nodes t));
   Obs.Metrics.(set (gauge "svfg.edges") (n_edges t));
   Obs.Metrics.(set (gauge "svfg.thread_aware_edges") t.thread_edges);
@@ -706,19 +682,12 @@ let node_key t i =
    keeps the old generation's node numbering and may retain orphaned
    interns) digests equal to a cold rebuild iff they denote the same graph.
    This is the identity the serve differential mode checks. *)
-(* (live cells, tombstoned cells) over the pred/succ index arenas.
-   Observability only. *)
-let arena_occupancy t =
-  let occ a = (Arena.Dyn.live a, Arena.Dyn.tombstones a) in
-  let pl, pt = occ t.obl_pred and sl, st = occ t.obl_succ in
-  (pl + sl, pt + st)
-
 let digest t =
   let edges =
     Hashtbl.fold
-      (fun (s, o, d) () acc ->
+      (fun (s, o, d) _ acc ->
         Printf.sprintf "%s:%d>%s;" (node_key t s) o (node_key t d) :: acc)
-      t.edge_set []
+      t.edges []
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "e=%d t=%d;" (n_edges t) t.thread_edges);
@@ -758,10 +727,8 @@ let digest t =
       row exposing the source thread's mods on that object) is made dirty
       too — after which retract-and-recompute is exact for this shape as
       well.
-   2. {b retract} every oblivious edge owned by a dirty function
-      (tombstoning its rows in the spliced def-use index), then re-run the
-      per-fn oblivious construction for dirty functions only, appending
-      re-derived rows.
+   2. {b retract} every oblivious edge owned by a dirty function, then
+      re-run the per-fn oblivious construction for dirty functions only.
    3. {b dirty objects} — [THREAD-VF] discovery is independent per object
       (edges, dedup checks, racy marks and pair rows are all keyed by the
       object), and per object it is a pure function of the object's oblivious rows, its
@@ -802,23 +769,18 @@ let clone t =
     index = Hashtbl.copy t.index;
     preds = vec_copy t.preds;
     succs = vec_copy t.succs;
-    edge_set = Hashtbl.copy t.edge_set;
+    edges = Hashtbl.copy t.edges;
     thread_edges = t.thread_edges;
     racy = Hashtbl.copy t.racy;
     pairs = Hashtbl.copy t.pairs;
-    ekind = Hashtbl.copy t.ekind;
     record_prov = t.record_prov;
-    owners = Hashtbl.copy t.owners;
-    tvf = Hashtbl.copy t.tvf;
     cur_owner = -1;
     log_adds = false;
     add_log = [];
-    obl_pred = Arena.Dyn.copy t.obl_pred;
-    obl_succ = Arena.Dyn.copy t.obl_succ;
   }
 
-let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~tm
-    ~mhp ~lk ~pcg ~edited_fids () =
+let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~tm ~mhp ~lk
+    ~pcg ~edited_fids () =
   let old_prog = old.prog in
   let shape_ok =
     Prog.n_funcs prog = Prog.n_funcs old_prog
@@ -831,8 +793,6 @@ let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~
   in
   if old.record_prov <> None then Error "svfg_provenance"
   else if not shape_ok then Error "svfg_shape"
-  else if Hashtbl.length old.owners <> n_edges old - Hashtbl.length old.tvf then
-    Error "svfg_untracked"
   else begin
     let t = clone old in
     t.prog <- prog;
@@ -920,28 +880,24 @@ let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~
     while !changed do
       changed := false;
       Hashtbl.iter
-        (fun ((src, o, dst) as k) () ->
-          if not (Hashtbl.mem t.tvf k) then
+        (fun (src, o, dst) tg ->
+          if (not (is_thread_vf tg)) && dirty.(tag_owner tg) then
             match (Vec.get t.nodes src, Vec.get t.nodes dst) with
             | Formal_out (sf, _), Formal_in _ -> (
-              match Hashtbl.find_opt t.owners k with
-              | Some ow when dirty.(ow) -> (
-                match Hashtbl.find_opt adders (sf, o) with
-                | Some r ->
-                  List.iter
-                    (fun f ->
-                      if not dirty.(f) then begin
-                        dirty.(f) <- true;
-                        changed := true
-                      end)
-                    !r
-                | None -> ())
-              | _ -> ())
+              match Hashtbl.find_opt adders (sf, o) with
+              | Some r ->
+                List.iter
+                  (fun f ->
+                    if not dirty.(f) then begin
+                      dirty.(f) <- true;
+                      changed := true
+                    end)
+                  !r
+              | None -> ())
             | _ -> ())
-        t.edge_set
+        t.edges
     done;
     (* -- step 2: retract and recompute the dirty oblivious regions ------- *)
-      let stride = Prog.n_stmts prog in
     let gid_of i = match Vec.get t.nodes i with Stmt_node g -> g | _ -> -1 in
     let obl_removed : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
     let obl_added : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -952,25 +908,23 @@ let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~
     in
     let removed = Hashtbl.create 256 in
     let touched = Hashtbl.create 256 in
-    let drop_edge ((src, o, dst) as k) =
-      Hashtbl.remove t.edge_set k;
-      Hashtbl.remove t.owners k;
+    (* the statement-to-statement oblivious pairs a retraction or re-derivation
+       touches, per object: they pick the dirty objects of step 3 *)
+    let log_stmt_pair tbl (src, o, dst) =
+      let gs = gid_of src and gd = gid_of dst in
+      if gs >= 0 && gd >= 0 then log_pair tbl o (gs, gd)
+    in
+    let drop_edge ((src, _, dst) as k) =
+      Hashtbl.remove t.edges k;
       Hashtbl.replace removed k ();
       Hashtbl.replace touched src ();
       Hashtbl.replace touched dst ();
-      let gs = gid_of src and gd = gid_of dst in
-      if gs >= 0 && gd >= 0 then begin
-        ignore (Arena.Dyn.remove t.obl_pred ~key:((o * stride) + gd) gs);
-        ignore (Arena.Dyn.remove t.obl_succ ~key:((o * stride) + gs) gd);
-        log_pair obl_removed o (gs, gd)
-      end
+      log_stmt_pair obl_removed k
     in
-    Hashtbl.fold (fun k () acc -> k :: acc) t.edge_set []
-    |> List.iter (fun k ->
-           if not (Hashtbl.mem t.tvf k) then
-             match Hashtbl.find_opt t.owners k with
-             | Some ow when dirty.(ow) -> drop_edge k
-             | _ -> ());
+    Hashtbl.fold
+      (fun k tg acc -> if (not (is_thread_vf tg)) && dirty.(tag_owner tg) then k :: acc else acc)
+      t.edges []
+    |> List.iter drop_edge;
     let prune tbl =
       Hashtbl.iter
         (fun v () ->
@@ -983,18 +937,10 @@ let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~
     prune removed;
     let n_removed = Hashtbl.length removed in
     t.log_adds <- true;
-    build_oblivious ~only:(fun fid -> dirty.(fid)) t ast mr icfg new_ji;
+    build_oblivious ~only:(fun fid -> dirty.(fid)) t ast mr new_ji;
     t.log_adds <- false;
     let n_added = List.length t.add_log in
-    List.iter
-      (fun (src, o, dst) ->
-        let gs = gid_of src and gd = gid_of dst in
-        if gs >= 0 && gd >= 0 then begin
-          Arena.Dyn.add t.obl_pred ~key:((o * stride) + gd) gs;
-          Arena.Dyn.add t.obl_succ ~key:((o * stride) + gs) gd;
-          log_pair obl_added o (gs, gd)
-        end)
-      t.add_log;
+    List.iter (log_stmt_pair obl_added) t.add_log;
     t.add_log <- [];
     (* -- step 3: dirty objects, thread-vf retraction, re-discovery ------- *)
     let keys tbl = Hashtbl.fold (fun o _ acc -> o :: acc) tbl [] in
@@ -1012,16 +958,16 @@ let patch old ?(config = default_config) ~prog ~old_ast ~ast ~old_mr ~mr ~icfg ~
     let dobjs = !dirty_objs in
     Hashtbl.reset touched;
     let removed_tvf = Hashtbl.create 64 in
-    Hashtbl.fold (fun k () acc -> k :: acc) t.tvf []
-    |> List.iter (fun ((src, o, dst) as k) ->
-           if Iset.mem o dobjs then begin
-             Hashtbl.remove t.tvf k;
-             t.thread_edges <- t.thread_edges - 1;
-             Hashtbl.remove t.edge_set k;
-             Hashtbl.replace removed_tvf k ();
-             Hashtbl.replace touched src ();
-             Hashtbl.replace touched dst ()
-           end);
+    Hashtbl.fold
+      (fun ((_, o, _) as k) tg acc ->
+        if is_thread_vf tg && Iset.mem o dobjs then k :: acc else acc)
+      t.edges []
+    |> List.iter (fun ((src, _, dst) as k) ->
+           t.thread_edges <- t.thread_edges - 1;
+           Hashtbl.remove t.edges k;
+           Hashtbl.replace removed_tvf k ();
+           Hashtbl.replace touched src ();
+           Hashtbl.replace touched dst ());
     prune removed_tvf;
     Hashtbl.fold (fun g r acc -> (g, r) :: acc) t.racy []
     |> List.iter (fun (g, r) ->

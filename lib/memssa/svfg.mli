@@ -43,7 +43,6 @@ val build :
   Prog.t ->
   Fsam_andersen.Solver.t ->
   Fsam_andersen.Modref.t ->
-  Fsam_mta.Icfg.t ->
   Fsam_mta.Threads.t ->
   Fsam_mta.Mhp.t ->
   Fsam_mta.Locks.t ->
@@ -74,10 +73,6 @@ val iter_unprotected_pairs : t -> (obj:int -> store:int -> access:int -> unit) -
     when the thread-aware stage is off. [Races.detect] filters it. *)
 
 val prog : t -> Prog.t
-
-val arena_occupancy : t -> int * int
-(** [(live, tombstones)] cell counts summed over the arena-backed pred/succ
-    edge indexes. Observability only. *)
 
 val digest : t -> string
 (** Hex digest of the graph's canonical structural fingerprint (edge
@@ -110,7 +105,6 @@ val patch :
   ast:Fsam_andersen.Solver.t ->
   old_mr:Fsam_andersen.Modref.t ->
   mr:Fsam_andersen.Modref.t ->
-  icfg:Fsam_mta.Icfg.t ->
   tm:Fsam_mta.Threads.t ->
   mhp:Fsam_mta.Mhp.t ->
   lk:Fsam_mta.Locks.t ->

@@ -504,7 +504,7 @@ let compute_edit t ~old new_ast =
                     note r;
                     None);
             D.wh_svfg =
-              (fun prog new_and modref icfg tm mhp locks pcg ->
+              (fun prog new_and modref tm mhp locks pcg ->
                 if not (tm == old_d.D.tm && mhp == old_d.D.mhp && locks == old_d.D.locks)
                 then begin
                   note "svfg_inputs_rebuilt";
@@ -517,7 +517,7 @@ let compute_edit t ~old new_ast =
                 else
                   match
                     Svfg.patch old_d.D.svfg ~config:t.config.D.svfg ~prog ~old_ast:old_and
-                      ~ast:new_and ~old_mr:old_d.D.modref ~mr:modref ~icfg ~tm ~mhp ~lk:locks ~pcg
+                      ~ast:new_and ~old_mr:old_d.D.modref ~mr:modref ~tm ~mhp ~lk:locks ~pcg
                       ~edited_fids:shape.sh_dirty_fids ()
                   with
                   | Ok (s, ps) ->

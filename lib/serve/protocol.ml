@@ -378,15 +378,10 @@ let serve_fallback_json srv =
    the last refresh. [Iset.live_nodes] walks the striped intern table, so
    it only runs on the explicit observability ops, never per request. *)
 let refresh_engine_gauges srv =
-  let arena =
-    if Engine.loaded srv.eng then
-      Fsam_memssa.Svfg.arena_occupancy (Engine.driver srv.eng).D.svfg
-    else (0, 0)
-  in
   Stats.refresh_engine_gauges srv.stats
     ~generation:(Engine.generation srv.eng)
     ~gen_age_us:(Engine.gen_age_us srv.eng)
-    ~busy:(Engine.busy srv.eng) ~arena ~iset_live:(Iset.live_nodes ())
+    ~busy:(Engine.busy srv.eng) ~iset_live:(Iset.live_nodes ())
 
 let op_status srv =
   refresh_engine_gauges srv;

@@ -176,15 +176,12 @@ let refresh_process_gauges t =
 
 (* Engine-derived subset: reads resident-generation structures, so only the
    protocol thread may call it; the scraper serves the last refresh. *)
-let refresh_engine_gauges t ~generation ~gen_age_us ~busy ~arena ~iset_live =
+let refresh_engine_gauges t ~generation ~gen_age_us ~busy ~iset_live =
   locked t (fun () ->
       let reg = t.reg in
       Metrics.set (Metrics.gauge ~reg "serve.generation") generation;
       Metrics.set (Metrics.gauge ~reg "serve.generation_age_s") (gen_age_us / 1_000_000);
       Metrics.set (Metrics.gauge ~reg "serve.edits_in_flight") (if busy then 1 else 0);
-      (let live, tombs = arena in
-       Metrics.set (Metrics.gauge ~reg "serve.arena.live_cells") live;
-       Metrics.set (Metrics.gauge ~reg "serve.arena.tombstoned_cells") tombs);
       Metrics.set (Metrics.gauge ~reg "serve.iset.live_nodes") iset_live)
 
 (* -- exposition ------------------------------------------------------------ *)

@@ -64,11 +64,10 @@ val refresh_engine_gauges :
   generation:int ->
   gen_age_us:int ->
   busy:bool ->
-  arena:int * int ->
   iset_live:int ->
   unit
-(** Engine-derived gauges (generation number/age, edits in flight, SVFG
-    arena occupancy, Iset intern-table live nodes). Protocol thread only —
+(** Engine-derived gauges (generation number/age, edits in flight, Iset
+    intern-table live nodes). Protocol thread only —
     the scraper serves the last refreshed values. *)
 
 val to_json : t -> Fsam_obs.Json.t

@@ -126,67 +126,6 @@ let prop_arena_intmap_model =
       Hashtbl.length seen = Hashtbl.length h
       && Hashtbl.fold (fun k v acc -> acc && Hashtbl.find_opt seen k = Some v) h true)
 
-(* Arena.Dyn (the store the SVFG patcher splices) vs a Hashtbl of lists:
-   [add] appends at the row tail, [remove] tombstones the first live equal
-   cell, and live iteration must preserve insertion order through any
-   interleaving — plus [copy] must detach. Ops: (k, v, true) = add,
-   (k, v, false) = remove. *)
-let prop_arena_dyn_model =
-  QCheck.Test.make ~count:200 ~name:"Arena.Dyn behaves like Hashtbl of rows"
-    QCheck.(list (triple (int_bound 40) (int_bound 20) bool))
-    (fun ops ->
-      let open Fsam_dsa.Arena in
-      let d = Dyn.create ~capacity:2 () in
-      let h : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-      let row k = Option.value ~default:[] (Hashtbl.find_opt h k) in
-      let removed = ref 0 and added = ref 0 in
-      List.iter
-        (fun (k, v, is_add) ->
-          if is_add then begin
-            Dyn.add d ~key:k v;
-            Hashtbl.replace h k (row k @ [ v ]);
-            incr added
-          end
-          else begin
-            let present = List.mem v (row k) in
-            let hit = Dyn.remove d ~key:k v in
-            if hit <> present then failwith "remove hit disagrees with model";
-            if present then begin
-              let dropped = ref false in
-              Hashtbl.replace h k
-                (List.filter
-                   (fun x ->
-                     if x = v && not !dropped then (
-                       dropped := true;
-                       false)
-                     else true)
-                   (row k));
-              incr removed
-            end
-          end)
-        ops;
-      let keys = List.sort_uniq compare (List.map (fun (k, _, _) -> k) ops) in
-      let rows_agree d =
-        List.for_all
-          (fun k ->
-            Dyn.row_list d k = row k
-            && (let got = ref [] in
-                Dyn.iter_row d k (fun v -> got := v :: !got);
-                List.rev !got = row k)
-            && Dyn.exists_row d k (fun v -> v mod 3 = 0)
-               = List.exists (fun v -> v mod 3 = 0) (row k))
-          keys
-      in
-      let live_total = List.fold_left (fun acc k -> acc + List.length (row k)) 0 keys in
-      Dyn.live d = live_total
-      && Dyn.tombstones d = !removed
-      && rows_agree d
-      &&
-      (* a copy detaches: mutating the original must not leak through *)
-      let c = Dyn.copy d in
-      List.iter (fun k -> Dyn.add d ~key:k 999) keys;
-      rows_agree c && Dyn.live c = live_total)
-
 let prop_arena_csr_model =
   QCheck.Test.make ~count:100 ~name:"Arena.Csr matches list adjacency"
     QCheck.(pair (1 -- 20) (list (pair (int_bound 19) (int_bound 50))))
@@ -214,7 +153,6 @@ let suite =
     Alcotest.test_case "bitvec basics" `Quick test_bitvec_basics;
     Alcotest.test_case "arena buf" `Quick test_arena_buf;
     QCheck_alcotest.to_alcotest prop_arena_intmap_model;
-    QCheck_alcotest.to_alcotest prop_arena_dyn_model;
     QCheck_alcotest.to_alcotest prop_arena_csr_model;
     Alcotest.test_case "bitvec union" `Quick test_bitvec_union;
     Alcotest.test_case "bitvec iter/clear" `Quick test_bitvec_iter;

@@ -210,6 +210,48 @@ let test_edit_sequence_phases () =
          (fun k -> List.mem k [ "locks_edit"; "locks_operand_drift" ])
          info.Engine.e_fallbacks)
 
+(* Patch promotion: [worker] is forked twice, so its first store [*p = &a]
+   reaches the other instance's load only through a [THREAD-VF] edge, the
+   middle store killing it in the oblivious chains. Pointing the middle
+   store at another object keeps every statement shape, so the SVFG is
+   patched; the patched per-fn dataflow then re-derives that edge as
+   oblivious, and it must be reclassified as a cold build would have it. *)
+let promotion_source ~middle =
+  Printf.sprintf
+    "int a;\n\
+     int b;\n\
+     int o;\n\
+     int other;\n\
+     void worker(int *p) {\n\
+    \  int *q;\n\
+    \  int *x;\n\
+    \  q = &other;\n\
+    \  *p = &a;\n\
+    \  *%s = &b;\n\
+    \  x = *p;\n\
+     }\n\
+     int main() {\n\
+    \  int *s;\n\
+    \  s = &o;\n\
+    \  fork(null, worker, s);\n\
+    \  fork(null, worker, s);\n\
+    \  return 0;\n\
+     }\n"
+    middle
+
+let test_patch_promotion () =
+  let eng = Engine.create ~differential:true () in
+  (match Engine.load eng (promotion_source ~middle:"p") with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok _ -> ());
+  match Engine.edit_source eng (promotion_source ~middle:"q") with
+  | Error e -> Alcotest.failf "edit failed: %s" e
+  | Ok info ->
+    let p = phases_exn ~stage:"promotion" info in
+    Alcotest.(check bool) "SVFG patched" true p.Engine.ph_svfg_patched;
+    Alcotest.(check (option bool)) "certified identical to cold" (Some true)
+      info.Engine.e_identical
+
 (* Under --provenance every recording phase (Andersen, SVFG, sparse solve)
    refuses its warm start while the thread model, MHP and locks are still
    reused; after a load, a shape-preserving edit and a snapshot/restore,
@@ -589,6 +631,7 @@ let suite =
   [
     Alcotest.test_case "edit-differential" `Slow test_edit_differential;
     Alcotest.test_case "edit-sequence-phases" `Quick test_edit_sequence_phases;
+    Alcotest.test_case "patch-promotion" `Quick test_patch_promotion;
     Alcotest.test_case "provenance-warm-chains" `Quick test_provenance_warm_chains;
     Alcotest.test_case "snapshot-roundtrip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot-rejects-garbage" `Quick test_snapshot_rejects_garbage;

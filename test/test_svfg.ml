@@ -15,7 +15,7 @@ let build_svfg ?config prog =
   let mhp = Mta.Mhp.compute tm in
   let lk = Mta.Locks.compute prog ast tm in
   let pcg = Mta.Pcg.compute tm icfg in
-  (Svfg.build ?config prog ast mr icfg tm mhp lk pcg, ast)
+  (Svfg.build ?config prog ast mr tm mhp lk pcg, ast)
 
 (* Figure 6:
    main: s1: *p = a1; fork(t, foo); s2: *p = a2; join(t); s3: c = *p
